@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 FUZZ_TARGETS := ./internal/ext4:FuzzExtentTree ./internal/ext4:FuzzRename ./internal/experiments:FuzzReproSpec
 
-.PHONY: all build test race vet bench bench-json bench-check parallel-equivalence profile fuzz check trace-smoke repro-smoke topology-smoke frontend-smoke clean
+.PHONY: all build test race vet bench bench-json bench-check bench-driver parallel-equivalence profile fuzz check trace-smoke repro-smoke topology-smoke frontend-smoke clean
 
 # The benchmarks the committed snapshot and the throughput gate track:
 # the Fig. 6/9 harnesses, the headline 4 KiB read (steady-state and
@@ -19,8 +19,9 @@ test:
 	$(GO) test ./...
 
 # Race coverage: the experiments package fans sweep cells and whole
-# experiments out to goroutines, and the core/kernel stress tests
-# exercise the fault plane's global counters from parallel machines.
+# experiments out to goroutines, some sharing one run environment's
+# trace collector, metrics registry and fault plan, and others running
+# differently scoped environments side by side.
 race:
 	$(GO) test -race ./...
 
@@ -91,16 +92,21 @@ fuzz:
 		$(GO) test $$pkg -run $$name -fuzz "^$$name$$" -fuzztime $(FUZZTIME); \
 	done
 
-# trace-smoke runs one experiment with the trace plane armed and
-# validates the emitted Chrome trace-event JSON with cmd/tracecheck:
-# the file must parse, contain only X/M phases, and hold real spans.
+# trace-smoke runs one experiment and one frontend fleet with tracing
+# and metrics on and validates each emitted Chrome trace-event JSON
+# with cmd/tracecheck: the file must parse, contain only X/M phases,
+# and hold real spans. The fleet run checks that -trace and -metrics
+# reach the -frontend path, not just the experiments.
 trace-smoke:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 		$(GO) build -o $$tmp/bench ./cmd/bypassd-bench; \
 		$(GO) build -o $$tmp/tracecheck ./cmd/tracecheck; \
 		$$tmp/bench -run T6 -trace $$tmp/trace.json -metrics > $$tmp/out.txt; \
 		grep -q '== metrics ==' $$tmp/out.txt; \
-		$$tmp/tracecheck -min 100 $$tmp/trace.json
+		$$tmp/tracecheck -min 100 $$tmp/trace.json; \
+		$$tmp/bench -frontend fleet-codel-2.0x -trace $$tmp/fleet.json -metrics > $$tmp/fleet.txt; \
+		grep -q 'frontend_requests_total' $$tmp/fleet.txt; \
+		$$tmp/tracecheck $$tmp/fleet.json
 
 # repro-smoke round-trips the anomaly-repro tool on the T7 cell the
 # arbiter gate pins: the same spec must replay byte-identically at
@@ -145,12 +151,19 @@ frontend-smoke:
 		grep -q 'fleet' $$tmp/fleet.txt; \
 		echo "frontend-smoke ok"
 
+# bench-driver vets and tests the repository benchmark's driver. It
+# is a module of its own (perfbench/go.mod, replace repro => ../), so
+# neither `go build ./...` nor `go test ./...` compiles it; this target
+# catches a change that breaks the driver's imports.
+bench-driver:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # check is the default gate: build, vet, full tests (including the
 # statistical tail-claim gates), the race detector over the whole
 # tree, the allocation-budget gate, the parallel determinism gate,
-# the repro-tool round trip, the 2-device topology smoke, and the
-# service-tier smoke.
-check: build vet test race bench-check parallel-equivalence repro-smoke topology-smoke frontend-smoke
+# the repro-tool round trip, the 2-device topology smoke, the
+# service-tier smoke, the trace smoke, and the benchmark driver.
+check: build vet test race bench-check parallel-equivalence repro-smoke topology-smoke frontend-smoke trace-smoke bench-driver
 
 clean:
 	$(GO) clean ./...

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/frontend"
 	"repro/internal/tenants"
@@ -176,7 +177,7 @@ func BenchmarkSimThroughputTenantStorm(b *testing.B) {
 	b.ReportAllocs()
 	var events uint64
 	for i := 0; i < b.N; i++ {
-		_, ev, err := tenants.RunCounted(int64(i)+1, sc)
+		_, ev, err := tenants.Run(int64(i)+1, sc, core.RunOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -225,7 +226,7 @@ func BenchmarkSimThroughputSharded(b *testing.B) {
 			b.ReportAllocs()
 			var events uint64
 			for i := 0; i < b.N; i++ {
-				_, ev, err := tenants.RunCountedWorkers(int64(i)+1, sc, workers)
+				_, ev, err := tenants.Run(int64(i)+1, sc, core.RunOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -32,10 +32,13 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/frontend"
+	"repro/internal/kernel"
 	"repro/internal/metrics"
+	"repro/internal/stats"
 	"repro/internal/tenants"
 	"repro/internal/trace"
 )
@@ -68,94 +71,64 @@ func main() {
 	os.Exit(run())
 }
 
-// runTenants executes one multi-tenant scenario — a builtin name or a
-// JSON config file — and prints its per-tenant table. Like the
-// experiment path, the table goes to stdout and is deterministic for
-// a fixed seed; progress goes to stderr.
-func runTenants(nameOrPath string, seed int64, devices, shardWorkers int, faultsP, out string) int {
-	sc, ok := tenants.ByName(nameOrPath)
-	if !ok {
-		var err error
-		sc, err = tenants.Load(nameOrPath)
+// tierExperiment wraps one -tenants scenario or -frontend fleet — a
+// builtin name or a JSON config file — as a one-off experiment whose
+// report is the tier's table, so it shares the experiments' run and
+// reporting path.
+func tierExperiment(tenantsF, frontF string, devices int) (experiments.Experiment, error) {
+	var e experiments.Experiment
+	var table func(seed int64, o core.RunOptions) (*stats.Table, error)
+	if tenantsF != "" {
+		sc, ok := tenants.ByName(tenantsF)
+		if !ok {
+			var err error
+			if sc, err = tenants.Load(tenantsF); err != nil {
+				return e, fmt.Errorf("-tenants %q: not a builtin scenario (try -list) and %v", tenantsF, err)
+			}
+		}
+		if devices > 0 {
+			sc.Devices = devices
+		}
+		e.ID = sc.Name
+		e.Title = fmt.Sprintf("tenant scenario (%d tenants, %d device(s), arbiter %s)",
+			len(sc.Tenants), sc.NumDevices(), sc.ArbiterName())
+		table = func(seed int64, o core.RunOptions) (*stats.Table, error) {
+			res, _, err := tenants.Run(seed, sc, o)
+			if err != nil {
+				return nil, err
+			}
+			return tenants.ReportTable(sc, res), nil
+		}
+	} else {
+		fl, ok := frontend.ByName(frontF)
+		if !ok {
+			var err error
+			if fl, err = frontend.Load(frontF); err != nil {
+				return e, fmt.Errorf("-frontend %q: not a builtin fleet (try -list) and %v", frontF, err)
+			}
+		}
+		if devices > 0 {
+			fl.Devices = devices
+		}
+		e.ID = fl.Name
+		e.Title = fmt.Sprintf("frontend fleet (%d users, pool %d, %d device(s), %s admission)",
+			fl.Users, fl.Pool, fl.NumDevices(), fl.PolicyName())
+		table = func(seed int64, o core.RunOptions) (*stats.Table, error) {
+			res, _, err := frontend.Run(seed, fl, o)
+			if err != nil {
+				return nil, err
+			}
+			return frontend.ReportTable(fl, res), nil
+		}
+	}
+	e.Run = func(o experiments.Options) (*experiments.Report, error) {
+		tb, err := table(o.Seed, core.RunOptions{Env: o.Env, Workers: o.Workers})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "-tenants %q: not a builtin scenario (try -list) and %v\n", nameOrPath, err)
-			return 1
+			return nil, err
 		}
+		return &experiments.Report{ID: e.ID, Tables: []*stats.Table{tb}}, nil
 	}
-	if devices > 0 {
-		sc.Devices = devices
-	}
-	if faultsP != "" {
-		if err := faults.Activate(faultsP, seed); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			return 1
-		}
-		defer faults.Deactivate()
-		fmt.Fprintf(os.Stderr, "== fault profile %q armed (seed %d)\n", faultsP, seed)
-	}
-	fmt.Fprintf(os.Stderr, "== running tenant scenario %s (%d tenants, %d device(s), arbiter %s, seed %d)\n",
-		sc.Name, len(sc.Tenants), sc.NumDevices(), sc.ArbiterName(), seed)
-	start := time.Now()
-	results, err := tenants.RunWorkers(seed, sc, shardWorkers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "scenario %s: %v\n", sc.Name, err)
-		return 1
-	}
-	table := tenants.ReportTable(sc, results).String()
-	fmt.Print(table)
-	fmt.Fprintf(os.Stderr, "== done (wall time %.1fs)\n", time.Since(start).Seconds())
-	if out != "" {
-		if err := os.WriteFile(out, []byte(table), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			return 1
-		}
-	}
-	return 0
-}
-
-// runFrontend executes one service-tier fleet — a builtin name or a
-// JSON config file — and prints its per-device table. Like the tenant
-// path, the table goes to stdout and is deterministic for a fixed
-// seed; progress goes to stderr.
-func runFrontend(nameOrPath string, seed int64, devices, shardWorkers int, faultsP, out string) int {
-	fl, ok := frontend.ByName(nameOrPath)
-	if !ok {
-		var err error
-		fl, err = frontend.Load(nameOrPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "-frontend %q: not a builtin fleet (try -list) and %v\n", nameOrPath, err)
-			return 1
-		}
-	}
-	if devices > 0 {
-		fl.Devices = devices
-	}
-	if faultsP != "" {
-		if err := faults.Activate(faultsP, seed); err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			return 1
-		}
-		defer faults.Deactivate()
-		fmt.Fprintf(os.Stderr, "== fault profile %q armed (seed %d)\n", faultsP, seed)
-	}
-	fmt.Fprintf(os.Stderr, "== running frontend fleet %s (%d users, pool %d, %d device(s), %s admission, seed %d)\n",
-		fl.Name, fl.Users, fl.Pool, fl.NumDevices(), fl.PolicyName(), seed)
-	start := time.Now()
-	res, err := frontend.RunWorkers(seed, fl, shardWorkers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleet %s: %v\n", fl.Name, err)
-		return 1
-	}
-	table := frontend.ReportTable(fl, res).String()
-	fmt.Print(table)
-	fmt.Fprintf(os.Stderr, "== done (wall time %.1fs)\n", time.Since(start).Seconds())
-	if out != "" {
-		if err := os.WriteFile(out, []byte(table), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", out, err)
-			return 1
-		}
-	}
-	return 0
+	return e, nil
 }
 
 // run is main minus os.Exit, so the profile-writing defers installed
@@ -233,18 +206,22 @@ func run() int {
 		return 0
 	}
 
-	if *tenantsF != "" {
-		return runTenants(*tenantsF, *seed, *devices, *shardW, *faultsP, *out)
-	}
-	if *frontF != "" {
-		return runFrontend(*frontF, *seed, *devices, *shardW, *faultsP, *out)
-	}
-
+	// One run environment for every path, built before anything boots:
+	// an unknown fault profile fails here.
+	var env kernel.Env
 	if *faultsP != "" {
-		if _, ok := faults.ProfileByName(*faultsP); !ok {
-			fmt.Fprintf(os.Stderr, "unknown fault profile %q (try -list)\n", *faultsP)
+		plan, err := faults.NewPlan(*faultsP, *seed)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%v (try -list)\n", err)
 			return 1
 		}
+		env.Faults = plan
+	}
+	if *traceOut != "" {
+		env.Trace = trace.NewCollector()
+	}
+	if *metricsF {
+		env.Metrics = metrics.NewRegistry()
 	}
 
 	workers := *parallel
@@ -254,9 +231,23 @@ func run() int {
 
 	var exps []experiments.Experiment
 	bad := 0
-	if *runList == "all" {
+	mode := "quick"
+	if *full {
+		mode = "full (paper-scale)"
+	}
+	tier := *tenantsF != "" || *frontF != ""
+	switch {
+	case tier:
+		e, err := tierExperiment(*tenantsF, *frontF, *devices)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%v\n", err)
+			return 1
+		}
+		exps = []experiments.Experiment{e}
+		mode = "tier"
+	case *runList == "all":
 		exps = experiments.All()
-	} else {
+	default:
 		for _, id := range strings.Split(*runList, ",") {
 			id = strings.TrimSpace(id)
 			e, ok := experiments.ByID(id)
@@ -269,19 +260,8 @@ func run() int {
 		}
 	}
 
-	if *traceOut != "" {
-		trace.Activate(trace.Options{})
-	}
-	if *metricsF {
-		metrics.Activate()
-	}
-
-	opts := experiments.Options{Quick: !*full, Seed: *seed, Parallelism: workers, Faults: *faultsP, Trials: *trials, Devices: *devices, Workers: *shardW}
-	mode := "quick"
-	if *full {
-		mode = "full (paper-scale)"
-	}
-	if *trials > 1 {
+	opts := experiments.Options{Quick: !*full, Seed: *seed, Parallelism: workers, Env: env, Trials: *trials, Devices: *devices, Workers: *shardW}
+	if *trials > 1 && !tier {
 		fmt.Fprintf(os.Stderr, "== %d trials per cell (trial k at seed %d+k-derived); tables report mean ± 95%% CI\n",
 			*trials, *seed)
 	}
@@ -306,25 +286,30 @@ func run() int {
 	results := runner.Run(exps, opts)
 	total := time.Since(start)
 
+	// A tier prints its bare table; experiments print full reports
+	// under a title line that only the -o file carries.
 	var combined strings.Builder
-	fmt.Fprintf(&combined, "# BypassD reproduction results (%s mode)\n\n", mode)
+	if !tier {
+		fmt.Fprintf(&combined, "# BypassD reproduction results (%s mode)\n\n", mode)
+	}
 	failed := bad
 	for _, r := range results {
 		if r.Err != nil {
 			failed++
 			continue
 		}
-		fmt.Print(r.Report.String())
-		fmt.Println()
-		combined.WriteString(r.Report.String())
-		combined.WriteString("\n")
+		text := r.Report.String() + "\n"
+		if tier {
+			text = r.Report.Tables[0].String()
+		}
+		fmt.Print(text)
+		combined.WriteString(text)
 	}
 	var snap *metrics.Snapshot
-	if *metricsF {
-		reg := metrics.Active()
-		// Fold the fault plane's aggregate counters into the registry so
-		// one render covers every subsystem.
-		for site, n := range faults.GlobalCounts() {
+	if reg := env.Metrics; reg != nil {
+		// Fold the fault plan's counters into the registry so one
+		// render covers every subsystem.
+		for site, n := range env.Faults.Counts() {
 			reg.Counter("faults_injected_total", "site", site).Add(n)
 		}
 		fmt.Print(reg.Render())
@@ -335,22 +320,19 @@ func run() int {
 	fmt.Fprintf(os.Stderr, "== total wall time %.1fs (%d experiments, -j %d)\n",
 		total.Seconds(), len(results), workers)
 	if *traceOut != "" {
-		if err := trace.WriteFile(*traceOut); err != nil {
+		if err := writeTrace(env.Trace, *traceOut); err != nil {
 			fmt.Fprintf(os.Stderr, "write %s: %v\n", *traceOut, err)
 			failed++
-		} else {
-			ev, dr := trace.CollectedEvents()
-			fmt.Fprintf(os.Stderr, "== trace: %d events (%d dropped) -> %s\n", ev, dr, *traceOut)
 		}
 	}
 	if *faultsP != "" {
-		counts := faults.GlobalCounts()
+		counts := env.Faults.Counts()
 		sites := make([]string, 0, len(counts))
 		for s := range counts {
 			sites = append(sites, s)
 		}
 		sort.Strings(sites)
-		fmt.Fprintf(os.Stderr, "== injected faults: %d total (profile %q)\n", faults.GlobalTotal(), *faultsP)
+		fmt.Fprintf(os.Stderr, "== injected faults: %d total (profile %q)\n", env.Faults.Total(), *faultsP)
 		for _, s := range sites {
 			fmt.Fprintf(os.Stderr, "==   %-28s %d\n", s, counts[s])
 		}
@@ -373,8 +355,8 @@ func run() int {
 		}
 		if *faultsP != "" {
 			run.Faults = *faultsP
-			run.FaultsTotal = faults.GlobalTotal()
-			run.FaultsBy = faults.GlobalCounts()
+			run.FaultsTotal = env.Faults.Total()
+			run.FaultsBy = env.Faults.Counts()
 		}
 		run.Metrics = snap
 		for _, r := range results {
@@ -403,4 +385,19 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// writeTrace renders a run's collected spans to path and reports the
+// event count on stderr.
+func writeTrace(c *trace.Collector, path string) error {
+	out, err := c.Render()
+	if err == nil {
+		err = os.WriteFile(path, out, 0o644)
+	}
+	if err != nil {
+		return err
+	}
+	ev, dr := c.Events()
+	fmt.Fprintf(os.Stderr, "== trace: %d events (%d dropped) -> %s\n", ev, dr, path)
+	return nil
 }

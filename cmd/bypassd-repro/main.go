@@ -29,7 +29,7 @@ import (
 	"sort"
 
 	"repro/internal/experiments"
-	"repro/internal/faults"
+	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -69,14 +69,15 @@ func runSpec(arg string, parallel int, metricsF bool, traceOut string) int {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 2
 	}
+	var env kernel.Env
 	if traceOut != "" {
-		trace.Activate(trace.Options{})
+		env.Trace = trace.NewCollector()
 	}
 	if metricsF {
-		metrics.Activate()
+		env.Metrics = metrics.NewRegistry()
 	}
 	fmt.Fprintf(os.Stderr, "== replaying %s\n", sp)
-	run, err := experiments.RunRepro(sp, parallel)
+	run, err := experiments.RunRepro(sp, parallel, env)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%v\n", err)
 		return 1
@@ -104,27 +105,31 @@ func runSpec(arg string, parallel int, metricsF bool, traceOut string) int {
 		fmt.Print(last.String())
 	}
 	if sp.Faults != "" {
-		counts := faults.GlobalCounts()
+		counts := run.Faults.Counts()
 		sites := make([]string, 0, len(counts))
 		for s := range counts {
 			sites = append(sites, s)
 		}
 		sort.Strings(sites)
-		fmt.Printf("\nfaults injected: %d (profile %q)\n", faults.GlobalTotal(), sp.Faults)
+		fmt.Printf("\nfaults injected: %d (profile %q)\n", run.Faults.Total(), sp.Faults)
 		for _, s := range sites {
 			fmt.Printf("  %-28s %d\n", s, counts[s])
 		}
 	}
 	if metricsF {
 		fmt.Println()
-		fmt.Print(metrics.Active().Render())
+		fmt.Print(env.Metrics.Render())
 	}
 	if traceOut != "" {
-		if err := trace.WriteFile(traceOut); err != nil {
+		out, err := env.Trace.Render()
+		if err == nil {
+			err = os.WriteFile(traceOut, out, 0o644)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "write %s: %v\n", traceOut, err)
 			return 1
 		}
-		ev, dr := trace.CollectedEvents()
+		ev, dr := env.Trace.Events()
 		fmt.Fprintf(os.Stderr, "== trace: %d events (%d dropped) -> %s\n", ev, dr, traceOut)
 	}
 	return 0

@@ -54,14 +54,15 @@ type System struct {
 	ownStore bool
 }
 
-// New boots a fresh system with the paper's device and kernel
-// calibration on a new simulation.
+// New boots a fresh single-SSD system with the paper's device and
+// kernel calibration on a new simulation, outside any run environment
+// (no faults, no tracing, no metrics).
 func New(capacityBytes int64) (*System, error) {
 	return NewOn(sim.New(), capacityBytes, nil)
 }
 
 // NewOn boots a system on an existing simulation, optionally from a
-// prebuilt storage image.
+// prebuilt storage image, outside any run environment.
 func NewOn(s *sim.Sim, capacityBytes int64, st *storage.Store) (*System, error) {
 	m, err := kernel.NewMachine(s, kernel.DefaultConfig(), device.OptaneP5800X(capacityBytes), st)
 	if err != nil {
@@ -70,16 +71,12 @@ func NewOn(s *sim.Sim, capacityBytes int64, st *storage.Store) (*System, error) 
 	return &System{Sim: s, M: m, libs: make(map[*kernel.Process]*userlib.Lib), ownStore: st == nil}, nil
 }
 
-// NewN boots a fresh system with devices Optane-class SSDs of
-// capacityBytes each behind one shared IOMMU, on a new simulation.
-// devices == 1 is exactly New (byte-identical event stream).
-func NewN(capacityBytes int64, devices int) (*System, error) {
-	return NewOnN(sim.New(), capacityBytes, devices)
-}
-
-// NewOnN is NewN on an existing simulation. Every device boots with
-// its own fresh store; unique DevIDs are assigned at machine boot.
-func NewOnN(s *sim.Sim, capacityBytes int64, devices int) (*System, error) {
+// Boot boots a fresh system into env on a new simulation: devices
+// Optane-class SSDs of capacityBytes each behind one shared IOMMU,
+// with the paper's kernel calibration. Every device gets its own
+// fresh store; unique DevIDs are assigned at machine boot. devices ==
+// 1 is the paper's single-SSD testbed.
+func Boot(env kernel.Env, capacityBytes int64, devices int) (*System, error) {
 	if devices < 1 {
 		return nil, fmt.Errorf("core: %d devices", devices)
 	}
@@ -87,7 +84,10 @@ func NewOnN(s *sim.Sim, capacityBytes int64, devices int) (*System, error) {
 	for i := range dcfgs {
 		dcfgs[i] = device.OptaneP5800X(capacityBytes)
 	}
-	m, err := kernel.NewMachineN(s, kernel.DefaultConfig(), dcfgs, nil)
+	cfg := kernel.DefaultConfig()
+	cfg.Env = env
+	s := sim.New()
+	m, err := kernel.NewMachineN(s, cfg, dcfgs, nil)
 	if err != nil {
 		return nil, err
 	}

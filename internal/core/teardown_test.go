@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ext4"
+	"repro/internal/kernel"
 	"repro/internal/sim"
 )
 
@@ -28,7 +29,7 @@ func TestConcurrentMachineTeardownNoAliasing(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				sys, err := NewN(1<<27, 2)
+				sys, err := Boot(kernel.Env{}, 1<<27, 2)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -76,7 +77,7 @@ func TestConcurrentMachineTeardownNoAliasing(t *testing.T) {
 // so a second Close (harness bugs do this) cannot double-Put a buffer
 // into a shared pool and alias it into the next machine.
 func TestDoubleCloseDoesNotDoublePut(t *testing.T) {
-	sys, err := NewN(1<<27, 2)
+	sys, err := Boot(kernel.Env{}, 1<<27, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

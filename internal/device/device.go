@@ -168,8 +168,9 @@ type SSD struct {
 	siteTimeout string
 	siteDelay   string
 
-	// Metrics handles, resolved once at boot; nil (inert) when no
-	// registry is active, like the fault plane.
+	// Metrics handles, resolved once at boot from reg; nil (inert)
+	// when the run has no registry, like the fault plane.
+	reg                       *metrics.Registry
 	mReads, mWrites, mFlushes *metrics.Counter
 	mBytesRead, mBytesWrite   *metrics.Counter
 	mErrors                   *metrics.Counter
@@ -199,7 +200,6 @@ func NewWithStore(s *sim.Sim, cfg Config, st *storage.Store) *SSD {
 		opsByQ:        make(map[int]int64),
 	}
 	d.initSites()
-	d.initMetrics()
 	d.initHotPath()
 	// The dispatch proc anchors the device's shard: serve procs spawn
 	// from it (inheriting the shard) and doorbell wakeups route to it.
@@ -244,21 +244,19 @@ func (d *SSD) initSites() {
 	d.siteDelay = faults.DeviceSite(d.cfg.Name, faults.KindDelay)
 }
 
-// initMetrics resolves the device's metric series from the active
-// registry (nil handles when metrics are off).
-func (d *SSD) initMetrics() {
-	d.mReads = metrics.GetCounter("device_ops_total", "dev", d.cfg.Name, "op", "read")
-	d.mWrites = metrics.GetCounter("device_ops_total", "dev", d.cfg.Name, "op", "write")
-	d.mFlushes = metrics.GetCounter("device_ops_total", "dev", d.cfg.Name, "op", "flush")
-	d.mBytesRead = metrics.GetCounter("device_bytes_total", "dev", d.cfg.Name, "dir", "read")
-	d.mBytesWrite = metrics.GetCounter("device_bytes_total", "dev", d.cfg.Name, "dir", "write")
-	d.mErrors = metrics.GetCounter("device_errors_total", "dev", d.cfg.Name)
-	d.mQueues = metrics.GetGauge("device_queues", "dev", d.cfg.Name)
+// SetEnv attaches the machine's fault plane and resolves the device's
+// metric series on reg (nil handles when reg is nil). Virtual
+// functions carved afterwards inherit both.
+func (d *SSD) SetEnv(inj *faults.Injector, reg *metrics.Registry) {
+	d.inj, d.reg = inj, reg
+	d.mReads = reg.Counter("device_ops_total", "dev", d.cfg.Name, "op", "read")
+	d.mWrites = reg.Counter("device_ops_total", "dev", d.cfg.Name, "op", "write")
+	d.mFlushes = reg.Counter("device_ops_total", "dev", d.cfg.Name, "op", "flush")
+	d.mBytesRead = reg.Counter("device_bytes_total", "dev", d.cfg.Name, "dir", "read")
+	d.mBytesWrite = reg.Counter("device_bytes_total", "dev", d.cfg.Name, "dir", "write")
+	d.mErrors = reg.Counter("device_errors_total", "dev", d.cfg.Name)
+	d.mQueues = reg.Gauge("device_queues", "dev", d.cfg.Name)
 }
-
-// SetInjector attaches the machine's fault plane. Virtual functions
-// carved afterwards inherit it.
-func (d *SSD) SetInjector(inj *faults.Injector) { d.inj = inj }
 
 // Carve creates an SR-IOV-style virtual function: an SSD exposing the
 // sector window [baseSector, baseSector+sectors) of parent as an
@@ -285,10 +283,9 @@ func Carve(s *sim.Sim, parent *SSD, name string, devID uint8, baseSector, sector
 		writesDrained: s.NewCond(),
 		opsByQ:        make(map[int]int64),
 		window:        parent.window + baseSector,
-		inj:           parent.inj, // VFs share the machine's fault plane
 	}
 	vf.initSites()
-	vf.initMetrics()
+	vf.SetEnv(parent.inj, parent.reg) // VFs share the machine's planes
 	vf.initHotPath()
 	s.SpawnOn(cfg.Shard, cfg.Name+"-dispatch", vf.dispatch)
 	return vf, nil

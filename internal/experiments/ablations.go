@@ -30,7 +30,7 @@ func runA1(o Options) (*Report, error) {
 	points, err := sweepMap(o, len(variants), func(i int) (point, error) {
 		// A 1 MiB working set fits the 256-entry IOTLB, giving the
 		// caching variant its best case.
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, CacheFTEs: variants[i], Seed: o.Seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, CacheFTEs: variants[i], Seed: o.Seed}, []fio.Group{{
 			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 1 << 20,
 		}})
@@ -71,6 +71,7 @@ func runA1(o Options) (*Report, error) {
 	pwcPoints, err := sweepMap(o, len(pwcSpecs), func(i int) (point, error) {
 		spec := pwcSpecs[i].spec
 		spec.Seed = o.Seed
+		spec.Env = o.Env
 		res, err := fio.Run(spec, []fio.Group{{
 			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 1 << 20,
@@ -133,7 +134,7 @@ func runA2(o Options) (*Report, error) {
 }
 
 func runSharedQueues(o Options, shared bool, threads, ops int) (sim.Time, float64, error) {
-	sys, err := core.New(1 << 30)
+	sys, err := core.Boot(o.Env, 1<<30, 1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -233,7 +234,7 @@ func runA3(o Options) (*Report, error) {
 	strategies := []string{"kernel", "optimized", "relink"}
 	lats, err := sweepMap(o, len(strategies), func(ci int) (sim.Time, error) {
 		strategy := strategies[ci]
-		sys, err := core.New(1 << 30)
+		sys, err := core.Boot(o.Env, 1<<30, 1)
 		if err != nil {
 			return 0, err
 		}
@@ -338,7 +339,7 @@ func runA4Once(o Options, serialize bool, ops int) (sim.Time, error) {
 	s := sim.New()
 	dcfg := device.OptaneP5800X(1 << 30)
 	dcfg.SerializeWriteTranslation = serialize
-	m, err := kernel.NewMachine(s, kernel.DefaultConfig(), dcfg, nil)
+	m, err := kernel.NewMachine(s, o.kernelConfig(), dcfg, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -402,7 +403,7 @@ func runA5(o Options) (*Report, error) {
 	if o.Quick {
 		writes = 96
 	}
-	sys, err := core.New(1 << 30)
+	sys, err := core.Boot(o.Env, 1<<30, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +489,7 @@ func runA6(o Options) (*Report, error) {
 	type point struct{ fmapT, lat sim.Time }
 	points, err := sweepMap(o, len(variants), func(ci int) (point, error) {
 		extent := variants[ci]
-		sys, err := core.New(size*2 + (256 << 20))
+		sys, err := core.Boot(o.Env, size*2+(256<<20), 1)
 		if err != nil {
 			return point{}, err
 		}

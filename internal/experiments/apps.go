@@ -25,7 +25,7 @@ var wtSystems = []string{"sync", "xrp", "bypassd"}
 
 // runWT executes one WiredTiger configuration and returns Kops/s.
 func runWT(o Options, system string, wl ycsb.Workload, threads int, keys uint64, cacheBytes int64, opsPerThread int) (float64, error) {
-	sys, err := core.New(1 << 30)
+	sys, err := core.Boot(o.Env, 1<<30, 1)
 	if err != nil {
 		return 0, err
 	}
@@ -246,7 +246,7 @@ func runF14(o Options) (*Report, error) {
 
 // runBPFKV executes one Fig. 15 configuration.
 func runBPFKV(o Options, mode string, threads int, objects uint64, opsPerThread int) (avg, p999 sim.Time, err error) {
-	sys, err := core.New(1 << 30)
+	sys, err := core.Boot(o.Env, 1<<30, 1)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -397,7 +397,7 @@ func runF15(o Options) (*Report, error) {
 
 // runKVell executes one Fig. 16 configuration.
 func runKVell(o Options, mode string, wl ycsb.Workload, threads int, items uint64, opsPerThread int) (kops float64, meanLat sim.Time, err error) {
-	sys, err := core.New(2 << 30)
+	sys, err := core.Boot(o.Env, 2<<30, 1)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -20,7 +20,7 @@ func init() {
 // runT6 reproduces the paper's Fig. 5-style attribution: where does a
 // 4KB random read's latency go on each interface? Every cell runs
 // with tracing forced on for its own machine, so the table is
-// identical whether or not the global trace plane is active. The
+// identical whether or not the run environment traces. The
 // phase sums are cross-checked against the end-to-end latency
 // histogram: per-interface, the attributed mean must match the
 // measured mean within 1%.
@@ -42,7 +42,7 @@ func runT6(o Options) (*Report, error) {
 		if c.engine == "" {
 			return runT6XRP(o, ops)
 		}
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed, Trace: true}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: o.Seed, Trace: true}, []fio.Group{{
 			Name: "m", Engine: c.engine, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 64 << 20,
 		}})
@@ -103,7 +103,7 @@ type t6Result struct {
 // through the XRP resubmission interface).
 func runT6XRP(o Options, ops int) (t6Result, error) {
 	const fileBytes = 64 << 20
-	sys, err := core.New(256 << 20)
+	sys, err := core.Boot(o.Env, 256<<20, 1)
 	if err != nil {
 		return t6Result{}, err
 	}

@@ -14,6 +14,8 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/stats"
 )
 
@@ -32,11 +34,11 @@ type Options struct {
 	// coordinates, and rows render in sweep order after all cells
 	// finish.
 	Parallelism int
-	// Faults names a fault-injection profile (faults.Profiles) armed
-	// for every machine the experiments boot; "" disables injection.
-	// Injector streams are seeded from Seed, so a fixed (Seed, Faults)
-	// pair replays byte-for-byte at any Parallelism.
-	Faults string
+	// Env is the run environment every machine the experiments boot
+	// picks up: the fault plan, trace collector and metrics registry.
+	// The zero value is a clean, unobserved run. A fault plan built at
+	// Seed replays byte-for-byte at any Parallelism.
+	Env kernel.Env
 	// Devices narrows the topology-aware experiments to one device
 	// count: T9 runs only the N-device cell instead of its 1→8 ladder.
 	// 0 (the default) sweeps the ladder. Other experiments ignore it —
@@ -62,12 +64,16 @@ type Options struct {
 	Workers int
 }
 
-// workers normalizes the Workers option.
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
+// runOptions scopes a traffic-tier run (tenants, frontend) to o.
+func (o Options) runOptions() core.RunOptions {
+	return core.RunOptions{Env: o.Env, Workers: o.Workers}
+}
+
+// kernelConfig is the paper's kernel calibration, booting into o.Env.
+func (o Options) kernelConfig() kernel.Config {
+	cfg := kernel.DefaultConfig()
+	cfg.Env = o.Env
+	return cfg
 }
 
 // Report is an experiment's output.

@@ -5,22 +5,39 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/kernel"
 )
 
 // faultTestIDs is a small, fast subset of experiments that exercises
 // the userlib direct path, the kernel path, and SPDK under injection.
 var faultTestIDs = []string{"F5", "F6"}
 
+// newPlan builds a fault plan or fails the test.
+func newPlan(t *testing.T, profile string, seed int64) *faults.Plan {
+	t.Helper()
+	plan, err := faults.NewPlan(profile, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func runWithFaults(t *testing.T, id, profile string, seed int64, par int) string {
+	t.Helper()
+	return runInEnv(t, id, kernel.Env{Faults: newPlan(t, profile, seed)}, seed, par)
+}
+
+// runInEnv runs one experiment through the Runner inside env.
+func runInEnv(t *testing.T, id string, env kernel.Env, seed int64, par int) string {
 	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
 	res := (&Runner{Parallelism: 1}).Run([]Experiment{e},
-		Options{Quick: true, Seed: seed, Parallelism: par, Faults: profile})
+		Options{Quick: true, Seed: seed, Parallelism: par, Env: env})
 	if res[0].Err != nil {
-		t.Fatalf("%s under %q: %v", id, profile, res[0].Err)
+		t.Fatalf("%s: %v", id, res[0].Err)
 	}
 	return res[0].Report.String()
 }
@@ -90,41 +107,41 @@ func TestCleanRunUnaffectedByPriorFaults(t *testing.T) {
 		return res[0].Report.String()
 	}
 	before := clean()
-	faulted := runWithFaults(t, "F6", "chaos", 1, 1)
+	plan := newPlan(t, "chaos", 1)
+	faulted := runInEnv(t, "F6", kernel.Env{Faults: plan}, 1, 1)
 	after := clean()
 	if before != after {
 		t.Errorf("clean report changed after a faulted run:\n--- before ---\n%s\n--- after ---\n%s", before, after)
 	}
-	if faulted == before && faults.GlobalTotal() == 0 {
+	if faulted == before && plan.Total() == 0 {
 		t.Log("chaos profile injected nothing into F6 (report identical); counters also zero")
 	}
 }
 
-// TestRunUnknownFaultProfile: a typo'd profile must fail every
-// experiment rather than silently running un-faulted.
+// TestRunUnknownFaultProfile: a typo'd profile must fail before any
+// machine boots rather than silently running un-faulted. The plan is
+// the only way to arm a profile, so it fails at construction.
 func TestRunUnknownFaultProfile(t *testing.T) {
-	e, _ := ByID("F5")
-	res := (&Runner{Parallelism: 1}).Run([]Experiment{e},
-		Options{Quick: true, Seed: 1, Faults: "no-such-profile"})
-	if res[0].Err == nil {
+	plan, err := faults.NewPlan("no-such-profile", 1)
+	if err == nil {
 		t.Fatal("expected error for unknown profile")
 	}
-	if !strings.Contains(res[0].Err.Error(), "no-such-profile") {
-		t.Fatalf("error %q does not name the bad profile", res[0].Err)
+	if !strings.Contains(err.Error(), "no-such-profile") {
+		t.Fatalf("error %q does not name the bad profile", err)
 	}
-	if faults.ActiveName() != "" {
-		t.Fatalf("profile %q left active after failed Activate", faults.ActiveName())
+	if plan != nil {
+		t.Fatal("unknown profile built a plan")
 	}
 }
 
 // TestFaultCountersSurface: a profile with certain-fire rules must
-// record global counters an operator can inspect after the run.
+// record counters an operator can inspect after the run, summed over
+// every machine the run's plan armed.
 func TestFaultCountersSurface(t *testing.T) {
-	_ = runWithFaults(t, "F6", "flaky-media", 42, 1)
-	// Runner deactivates on return but counters persist until the next
-	// Activate resets them.
-	total := faults.GlobalTotal()
-	counts := faults.GlobalCounts()
+	plan := newPlan(t, "flaky-media", 42)
+	_ = runInEnv(t, "F6", kernel.Env{Faults: plan}, 42, 1)
+	total := plan.Total()
+	counts := plan.Counts()
 	if total == 0 {
 		t.Fatal("flaky-media run recorded no injected faults")
 	}
@@ -134,5 +151,27 @@ func TestFaultCountersSurface(t *testing.T) {
 	}
 	if sum != total {
 		t.Fatalf("per-site counts sum to %d, total says %d", sum, total)
+	}
+}
+
+// TestExperimentRunAppliesFaults: an experiment run directly — the
+// call shape benchmarks and most tests use, with no Runner in between
+// — must inject its Options' faults, and render exactly what the
+// Runner path renders.
+func TestExperimentRunAppliesFaults(t *testing.T) {
+	e, ok := ByID("F6")
+	if !ok {
+		t.Fatal("F6 not registered")
+	}
+	plan := newPlan(t, "chaos", 3)
+	rep, err := e.Run(Options{Quick: true, Seed: 3, Parallelism: 1, Env: kernel.Env{Faults: plan}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Total() == 0 {
+		t.Fatal("direct Experiment.Run under chaos injected no faults")
+	}
+	if via := runWithFaults(t, "F6", "chaos", 3, 1); rep.String() != via {
+		t.Errorf("direct run differs from the Runner path:\n--- direct ---\n%s\n--- runner ---\n%s", rep, via)
 	}
 }

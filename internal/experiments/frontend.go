@@ -64,7 +64,7 @@ func runT10(o Options) (*Report, error) {
 	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
 		c := cells[i]
 		fl := frontend.ServiceFleet(c.policy, c.frac, devices, c.pool, users, requests)
-		res, err := frontend.RunWorkers(seed, fl, o.workers())
+		res, _, err := frontend.Run(seed, fl, o.runOptions())
 		if err != nil {
 			return point{}, err
 		}

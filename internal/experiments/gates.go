@@ -113,7 +113,7 @@ func gateT7Arbiter(o Options) (*GateResult, error) {
 	pts, err := trialMap(o, len(arbs), func(i int, seed int64) (float64, error) {
 		sc := tenants.NoisyNeighbor(arbs[i], hogs, victimOps, hogOps)
 		sc.Tenants[0].Engine = core.EngineBypassD
-		res, err := tenants.RunWorkers(seed, sc, o.workers())
+		res, _, err := tenants.Run(seed, sc, o.runOptions())
 		if err != nil {
 			return 0, err
 		}
@@ -148,7 +148,7 @@ func gateT8Knee(o Options) (*GateResult, error) {
 	engines := []core.Engine{core.EngineSync, core.EngineBypassD}
 	pts, err := trialMap(o, len(engines), func(i int, seed int64) (float64, error) {
 		sc := tenants.SLOLoad(engines[i], nTenants, frac*optaneIOPS, opsPer)
-		res, err := tenants.RunWorkers(seed, sc, o.workers())
+		res, _, err := tenants.Run(seed, sc, o.runOptions())
 		if err != nil {
 			return 0, err
 		}
@@ -187,7 +187,7 @@ func gateF6Latency(o Options) (*GateResult, error) {
 	o = gateTrials(o)
 	engines := []core.Engine{core.EngineSync, core.EngineBypassD}
 	pts, err := trialMap(o, len(engines), func(i int, seed int64) (float64, error) {
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
 			Name: "m", Engine: engines[i], BS: 4096, Threads: 1,
 			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
 		}})
@@ -222,7 +222,7 @@ func gateF9Collapse(o Options) (*GateResult, error) {
 	threads := []int{8, 16}
 	ops := f9Ops(o.Quick)
 	pts, err := trialMap(o, len(threads), func(i int, seed int64) (float64, error) {
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
 			Name: "m", Engine: core.EngineUring, BS: 4096, Threads: threads[i],
 			OpsPerThread: ops, FileBytes: 16 << 20,
 		}})

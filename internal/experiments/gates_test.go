@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/stats"
 )
 
@@ -70,7 +71,7 @@ func TestGateReproRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", res.Repro[0], err)
 	}
-	run, err := RunRepro(sp, 1)
+	run, err := RunRepro(sp, 1, kernel.Env{})
 	if err != nil {
 		t.Fatalf("replay %q: %v", res.Repro[0], err)
 	}

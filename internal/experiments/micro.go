@@ -21,6 +21,7 @@ func init() {
 
 func runF5(o Options) (*Report, error) {
 	u := iommu.New(iommu.DefaultConfig())
+	u.SetEnv(nil, o.Env.Metrics)
 	tb := stats.NewTable("Fig. 5: IOMMU overhead vs translations per request",
 		"translations", "overhead (ns)")
 	for n := 1; n <= 12; n++ {
@@ -65,7 +66,7 @@ func runF6(o Options) (*Report, error) {
 	}
 	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
 		c := cells[i]
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
 			Name: "m", Engine: c.eng, Write: c.write, BS: c.bs, Threads: 1,
 			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
 		}})
@@ -144,7 +145,7 @@ func runF7(o Options) (*Report, error) {
 	type split struct{ user, kern, dev, total sim.Time }
 	splits, err := sweepMap(o, len(cells), func(i int) (split, error) {
 		c := cells[i]
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: o.Seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: o.Seed}, []fio.Group{{
 			Name: "m", Engine: c.eng, BS: c.bs, Threads: 1,
 			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
 		}})
@@ -206,7 +207,7 @@ func runF8(o Options) (*Report, error) {
 			g.Engine = core.EngineSync
 			delay = -1
 		}
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: delay, Seed: o.Seed}, []fio.Group{g})
+		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: delay, Seed: o.Seed}, []fio.Group{g})
 		if err != nil {
 			return 0, err
 		}
@@ -259,7 +260,7 @@ func runF9(o Options) (*Report, error) {
 	}
 	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
 		c := cells[i]
-		res, err := fio.Run(fio.Spec{VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
 			Name: "m", Engine: c.eng, BS: 4096, Threads: c.n,
 			OpsPerThread: ops, FileBytes: 16 << 20,
 		}})

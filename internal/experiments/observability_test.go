@@ -1,40 +1,52 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
-// runObserved runs the given experiments with the trace and metrics
-// planes armed and returns (rendered reports, rendered trace, rendered
-// metrics).
+// observedEnv is a run environment with tracing and metrics on.
+func observedEnv() kernel.Env {
+	return kernel.Env{Trace: trace.NewCollector(), Metrics: metrics.NewRegistry()}
+}
+
+// runObserved runs the given experiments with tracing and metrics on
+// and returns (rendered reports, rendered trace, rendered metrics).
 func runObserved(t *testing.T, parallelism int, ids ...string) (string, string, string) {
 	t.Helper()
-	trace.Activate(trace.Options{})
-	reg := metrics.Activate()
-	defer trace.Deactivate()
-	defer metrics.Deactivate()
+	rep, tr, met, err := runObservedIn(observedEnv(), parallelism, ids...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, tr, met
+}
 
+// runObservedIn is runObserved inside env, which must trace and
+// collect metrics.
+func runObservedIn(env kernel.Env, parallelism int, ids ...string) (string, string, string, error) {
 	var reports strings.Builder
 	for _, id := range ids {
 		e, ok := ByID(id)
 		if !ok {
-			t.Fatalf("experiment %s not registered", id)
+			return "", "", "", fmt.Errorf("experiment %s not registered", id)
 		}
-		rep, err := e.Run(Options{Quick: true, Seed: 1, Parallelism: parallelism})
+		rep, err := e.Run(Options{Quick: true, Seed: 1, Parallelism: parallelism, Env: env})
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			return "", "", "", fmt.Errorf("%s: %v", id, err)
 		}
 		reports.WriteString(rep.String())
 	}
-	tr, err := trace.Render()
+	tr, err := env.Trace.Render()
 	if err != nil {
-		t.Fatalf("trace render: %v", err)
+		return "", "", "", fmt.Errorf("trace render: %v", err)
 	}
-	return reports.String(), string(tr), reg.Render()
+	return reports.String(), string(tr), env.Metrics.Render(), nil
 }
 
 // TestObservabilityByteIdenticalAcrossParallelism extends the PR 1
@@ -63,7 +75,7 @@ func TestObservabilityByteIdenticalAcrossParallelism(t *testing.T) {
 }
 
 // TestTracingDoesNotPerturbReports checks the observer effect is zero:
-// a run with the trace and metrics planes armed renders exactly the
+// a run with tracing and metrics on renders exactly the
 // same report as a clean run (tracing charges no virtual time).
 func TestTracingDoesNotPerturbReports(t *testing.T) {
 	e, ok := ByID("F6")
@@ -75,17 +87,74 @@ func TestTracingDoesNotPerturbReports(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	trace.Activate(trace.Options{})
-	metrics.Activate()
-	defer trace.Deactivate()
-	defer metrics.Deactivate()
-	observed, err := e.Run(Options{Quick: true, Seed: 1})
+	observed, err := e.Run(Options{Quick: true, Seed: 1, Env: observedEnv()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if clean.String() != observed.String() {
 		t.Errorf("tracing perturbed the report:\n--- clean ---\n%s--- observed ---\n%s",
 			clean.String(), observed.String())
+	}
+}
+
+// TestConcurrentEnvsIsolated runs two differently scoped runs of F6
+// at the same time: one under chaos with tracing and metrics on, one
+// in the zero (clean) environment. Each must render byte-identically
+// to its solo run — the clean report unfaulted, and the observed run's
+// trace, registry and fault counts holding nothing from the clean run.
+func TestConcurrentEnvsIsolated(t *testing.T) {
+	chaos := func() kernel.Env {
+		env := observedEnv()
+		env.Faults = newPlan(t, "chaos", 1)
+		return env
+	}
+	soloEnv := chaos()
+	soloRep, soloTrace, soloMetrics, err := runObservedIn(soloEnv, 2, "F6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	soloClean := runQuick(t, "F6").String()
+
+	env := chaos()
+	var rep, tr, met, clean string
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var err error
+		if rep, tr, met, err = runObservedIn(env, 2, "F6"); err != nil {
+			t.Error(err)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		e, _ := ByID("F6")
+		r, err := e.Run(Options{Quick: true, Seed: 1, Parallelism: 2})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		clean = r.String()
+	}()
+	wg.Wait()
+
+	if rep != soloRep {
+		t.Errorf("chaos report differs from its solo run")
+	}
+	if clean != soloClean {
+		t.Errorf("clean report differs from its solo run:\n--- concurrent ---\n%s--- solo ---\n%s", clean, soloClean)
+	}
+	if clean == rep {
+		t.Errorf("chaos run rendered the clean report: faults did not apply")
+	}
+	if tr != soloTrace {
+		t.Errorf("chaos trace differs from its solo run")
+	}
+	if met != soloMetrics {
+		t.Errorf("chaos metrics differ from its solo run:\n--- concurrent ---\n%s--- solo ---\n%s", met, soloMetrics)
+	}
+	if got, want := env.Faults.Total(), soloEnv.Faults.Total(); got != want || got == 0 {
+		t.Errorf("chaos run injected %d faults, solo %d", got, want)
 	}
 }
 

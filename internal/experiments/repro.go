@@ -5,6 +5,9 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/faults"
+	"repro/internal/kernel"
 )
 
 // ReproKV is one column=value constraint a repro spec matches table
@@ -203,20 +206,23 @@ type ReproRun struct {
 	DerivedSeed int64 // the workload seed the replay actually ran at
 	Report      *Report
 	Matches     []MatchedCell
+	Faults      *faults.Plan // the replay's fault plan; nil without one
 }
 
 // RunRepro replays the experiment a spec names and selects the rows it
 // pins. Single-trial specs run at the derived seed TrialSeed(trial) —
 // reproducing one trial of a multi-trial table, or (trial 0) the
 // historical single-trial row. trials=N specs re-run the whole
-// aggregation instead. Faults are armed exactly as the Runner arms
-// them, so fault-profile anomalies replay too.
-func RunRepro(sp ReproSpec, parallelism int) (*ReproRun, error) {
+// aggregation instead. The replay traces and counts into env; its
+// fault plan is the spec's profile at the replayed seed, exactly the
+// plan a run at that seed builds, so fault-profile anomalies replay
+// too.
+func RunRepro(sp ReproSpec, parallelism int, env kernel.Env) (*ReproRun, error) {
 	e, ok := ByID(sp.ID)
 	if !ok {
 		return nil, fmt.Errorf("unknown experiment %q (have: %s)", sp.ID, strings.Join(IDs(), " "))
 	}
-	o := Options{Quick: !sp.Full, Seed: sp.Seed, Parallelism: parallelism, Faults: sp.Faults}
+	o := Options{Quick: !sp.Full, Seed: sp.Seed, Parallelism: parallelism, Env: env}
 	derived := sp.Seed
 	if sp.Trials > 1 {
 		o.Trials = sp.Trials
@@ -224,11 +230,19 @@ func RunRepro(sp ReproSpec, parallelism int) (*ReproRun, error) {
 		derived = o.TrialSeed(sp.Trial)
 		o.Seed = derived
 	}
-	res := (&Runner{Parallelism: parallelism}).Run([]Experiment{e}, o)
-	if res[0].Err != nil {
-		return nil, res[0].Err
+	o.Env.Faults = nil
+	if sp.Faults != "" {
+		plan, err := faults.NewPlan(sp.Faults, o.Seed)
+		if err != nil {
+			return nil, err
+		}
+		o.Env.Faults = plan
 	}
-	run := &ReproRun{Spec: sp, DerivedSeed: derived, Report: res[0].Report}
+	rep, err := e.Run(o)
+	if err != nil {
+		return nil, err
+	}
+	run := &ReproRun{Spec: sp, DerivedSeed: derived, Report: rep, Faults: o.Env.Faults}
 	for _, tb := range run.Report.Tables {
 		keys := make([]string, len(tb.Headers))
 		for i, h := range tb.Headers {

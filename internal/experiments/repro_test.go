@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/kernel"
 )
 
 func TestParseReproSpec(t *testing.T) {
@@ -159,7 +161,7 @@ func TestReproSpecSeedAliasing(t *testing.T) {
 }
 
 func TestRunReproErrors(t *testing.T) {
-	if _, err := RunRepro(ReproSpec{ID: "Z9", Seed: 1}, 1); err == nil ||
+	if _, err := RunRepro(ReproSpec{ID: "Z9", Seed: 1}, 1, kernel.Env{}); err == nil ||
 		!strings.Contains(err.Error(), "unknown experiment") {
 		t.Fatalf("unknown id error missing, got %v", err)
 	}
@@ -167,7 +169,7 @@ func TestRunReproErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunRepro(sp, 1); err == nil || !strings.Contains(err.Error(), "matched no rows") {
+	if _, err := RunRepro(sp, 1, kernel.Env{}); err == nil || !strings.Contains(err.Error(), "matched no rows") {
 		t.Fatalf("no-match error missing, got %v", err)
 	}
 }
@@ -179,7 +181,7 @@ func TestRunReproAggregated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := RunRepro(sp, 2)
+	run, err := RunRepro(sp, 2, kernel.Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/faults"
 )
 
 // RunResult is one experiment's outcome under a Runner.
@@ -43,21 +41,8 @@ type Runner struct {
 
 // Run executes exps with the given options and returns one result per
 // experiment, index-aligned with exps regardless of completion order.
-// When o.Faults names a profile, it is armed for the whole run (every
-// machine any experiment boots) and disarmed afterwards; an unknown
-// profile fails every experiment up front rather than running
-// un-faulted.
+// Every machine any experiment boots picks up o.Env.
 func (r *Runner) Run(exps []Experiment, o Options) []RunResult {
-	if o.Faults != "" {
-		if err := faults.Activate(o.Faults, o.Seed); err != nil {
-			results := make([]RunResult, len(exps))
-			for i, e := range exps {
-				results[i] = RunResult{Experiment: e, Err: err}
-			}
-			return results
-		}
-		defer faults.Deactivate()
-	}
 	workers := r.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

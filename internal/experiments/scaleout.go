@@ -50,7 +50,7 @@ func runT9(o Options) (*Report, error) {
 	points, err := trialMap(o, len(counts), func(i int, seed int64) (point, error) {
 		devices := counts[i]
 		sc := tenants.ScaleOut(devices, victimOps, hogOps)
-		res, err := tenants.RunWorkers(seed, sc, o.workers())
+		res, _, err := tenants.Run(seed, sc, o.runOptions())
 		if err != nil {
 			return point{}, err
 		}

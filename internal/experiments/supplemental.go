@@ -58,7 +58,7 @@ func runS1(o Options) (*Report, error) {
 func runS1Device(o Options, dcfg device.Config, ops int) (syncLat, bypLat sim.Time, err error) {
 	s := sim.New()
 	defer s.Shutdown()
-	m, err := kernel.NewMachine(s, kernel.DefaultConfig(), dcfg, nil)
+	m, err := kernel.NewMachine(s, o.kernelConfig(), dcfg, nil)
 	if err != nil {
 		return 0, 0, err
 	}

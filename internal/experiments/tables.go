@@ -24,7 +24,7 @@ func init() {
 // runT1 measures one synchronous 4 KiB read and decomposes it using
 // the calibrated layer costs.
 func runT1(o Options) (*Report, error) {
-	sys, err := core.New(1 << 30)
+	sys, err := core.Boot(o.Env, 1<<30, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -136,6 +136,7 @@ func sortStrings(s []string) []string {
 // runT4 reproduces the IOAT DMA experiment.
 func runT4(o Options) (*Report, error) {
 	u := iommu.New(iommu.DefaultConfig())
+	u.SetEnv(nil, o.Env.Metrics)
 	e := iommu.NewDMAEngine(u)
 
 	tb := stats.NewTable("Table 4: IOAT DMA copy latency", "configuration", "latency (ns)")
@@ -165,7 +166,7 @@ func runT5(o Options) (*Report, error) {
 	points, err := sweepMap(o, len(sizes), func(ci int) (point, error) {
 		size := sizes[ci]
 		capacity := size*2 + (256 << 20)
-		sys, err := core.New(capacity)
+		sys, err := core.Boot(o.Env, capacity, 1)
 		if err != nil {
 			return point{}, err
 		}

@@ -62,7 +62,7 @@ func runT7(o Options) (*Report, error) {
 		c := cells[i]
 		sc := tenants.NoisyNeighbor(c.arb, c.hogs, victimOps, hogOps)
 		sc.Tenants[0].Engine = c.eng
-		res, err := tenants.RunWorkers(seed, sc, o.workers())
+		res, _, err := tenants.Run(seed, sc, o.runOptions())
 		if err != nil {
 			return point{}, err
 		}
@@ -169,7 +169,7 @@ func runT8(o Options) (*Report, error) {
 	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
 		c := cells[i]
 		sc := tenants.SLOLoad(c.eng, nTenants, c.frac*optaneIOPS, opsPer)
-		res, err := tenants.RunWorkers(seed, sc, o.workers())
+		res, _, err := tenants.Run(seed, sc, o.runOptions())
 		if err != nil {
 			return point{}, err
 		}

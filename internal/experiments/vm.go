@@ -62,7 +62,7 @@ func runS2(o Options) (*Report, error) {
 func runS2Guests(o Options, ops int) (guest1, guest2, guestSync sim.Time, err error) {
 	s := sim.New()
 	defer s.Shutdown()
-	host, err := kernel.NewMachine(s, kernel.DefaultConfig(), device.OptaneP5800X(1<<30), nil)
+	host, err := kernel.NewMachine(s, o.kernelConfig(), device.OptaneP5800X(1<<30), nil)
 	if err != nil {
 		return 0, 0, 0, err
 	}

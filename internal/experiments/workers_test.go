@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/metrics"
 	"repro/internal/tenants"
 )
@@ -51,17 +53,16 @@ func TestReportsWorkerInvariant(t *testing.T) {
 // rendered rows.
 func TestScaleOutMetricsWorkerInvariant(t *testing.T) {
 	snapshot := func(workers int) (string, uint64) {
-		metrics.Activate()
-		defer metrics.Deactivate()
+		reg := metrics.NewRegistry()
 		sc := tenants.ScaleOut(4, 200, 200)
-		res, events, err := tenants.RunCountedWorkers(42, sc, workers)
+		res, events, err := tenants.Run(42, sc, core.RunOptions{Env: kernel.Env{Metrics: reg}, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res) == 0 || res[0].Ops == 0 {
 			t.Fatal("scale-out run produced no work")
 		}
-		return metrics.Active().Render(), events
+		return reg.Render(), events
 	}
 	refRender, refEvents := snapshot(1)
 	for _, w := range []int{2, 8} {

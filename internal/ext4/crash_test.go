@@ -55,7 +55,7 @@ func TestJournalCrashRecovery(t *testing.T) {
 
 			// Arm a one-shot crash at this stage, then attempt a second
 			// transaction.
-			fs.SetInjector(faults.NewInjector(1, []faults.Rule{{Site: cs.site, Count: 1}}))
+			fs.SetEnv(faults.NewInjector(1, []faults.Rule{{Site: cs.site, Count: 1}}), nil)
 			nf, err := fs.Create(nil, "/dir/new", 0o644, Root)
 			if err != nil {
 				t.Fatal(err)
@@ -153,7 +153,7 @@ func TestJournalCrashEveryCommitStage(t *testing.T) {
 		if _, err := fs.WriteAt(nil, in, 0, data); err != nil {
 			t.Fatal(err)
 		}
-		fs.SetInjector(faults.NewInjector(int64(round), []faults.Rule{{Site: cs.site, Count: 1}}))
+		fs.SetEnv(faults.NewInjector(int64(round), []faults.Rule{{Site: cs.site, Count: 1}}), nil)
 		if err := fs.Commit(nil); !errors.Is(err, ErrCrashed) {
 			t.Fatalf("round %d: Commit err = %v, want ErrCrashed", round, err)
 		}

@@ -166,8 +166,12 @@ type FS struct {
 	Commits int64
 }
 
-// SetInjector attaches the machine's fault plane.
-func (fs *FS) SetInjector(inj *faults.Injector) { fs.inj = inj }
+// SetEnv attaches the machine's fault plane and resolves the file
+// system's metric series on reg (nil handles when reg is nil).
+func (fs *FS) SetEnv(inj *faults.Injector, reg *metrics.Registry) {
+	fs.inj = inj
+	fs.mCommits = reg.Counter("ext4_commits_total")
+}
 
 // SetTracer attaches the machine's span tracer (nil detaches).
 func (fs *FS) SetTracer(tr *trace.Tracer) { fs.tr = tr }
@@ -285,7 +289,6 @@ func Mount(p *sim.Proc, bio BlockIO, devID uint8, now func() sim.Time) (*FS, err
 		inodes:      make(map[uint32]*Inode),
 		dirtyInodes: make(map[uint32]bool),
 		dirCache:    make(map[uint32][]DirEntry),
-		mCommits:    metrics.GetCounter("ext4_commits_total"),
 	}
 	if err := fs.sb.unmarshal(buf); err != nil {
 		return nil, err

@@ -9,15 +9,14 @@
 //
 // The plane has two halves:
 //
-//   - Injector: per-machine state, created by kernel.NewMachine and
+//   - Injector: per-machine state, created at machine boot and
 //     threaded into the device, IOMMU, file system and UserLib. The
 //     simulation runs one goroutine at a time per machine, so the
 //     injector needs no locks for its own counters.
-//   - The process-global active profile (Activate/Deactivate) plus
-//     aggregated fire counters. Machines boot deep inside experiment
-//     harnesses, so the profile is handed down globally rather than
-//     plumbed through every constructor; the aggregate counters are
-//     what bypassd-bench reports.
+//   - Plan: one run's profile and seed. A run hands its Plan to every
+//     machine it boots (through the run environment, kernel.Env); each
+//     machine builds its own injector from it, and the run's reported
+//     fire counts are sums over those injectors.
 package faults
 
 import (
@@ -26,7 +25,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -122,11 +120,9 @@ func (r *ruleState) matches(site string, queue int) bool {
 // Injector evaluates injection sites for one simulated machine. The
 // zero value of *Injector (nil) is inert; all methods are nil-safe.
 type Injector struct {
-	profile string
-	rules   []*ruleState
-	rng     *rand.Rand
-	counts  map[string]int64
-	total   int64
+	rules  []*ruleState
+	rng    *rand.Rand
+	counts map[string]int64 // fires per site
 }
 
 // NewInjector builds an injector from a rule list. Decisions draw from
@@ -189,8 +185,6 @@ func (inj *Injector) decide(site string, queue int) *ruleState {
 	}
 	if hit != nil {
 		inj.counts[site]++
-		inj.total++
-		recordGlobal(site)
 	}
 	return hit
 }
@@ -222,7 +216,11 @@ func (inj *Injector) Total() int64 {
 	if inj == nil {
 		return 0
 	}
-	return inj.total
+	var n int64
+	for _, v := range inj.counts {
+		n += v
+	}
+	return n
 }
 
 // Counts returns a copy of the per-site fire counters.
@@ -237,15 +235,6 @@ func (inj *Injector) Counts() map[string]int64 {
 	return out
 }
 
-// ProfileName reports the profile this injector was built from ("" for
-// hand-built injectors).
-func (inj *Injector) ProfileName() string {
-	if inj == nil {
-		return ""
-	}
-	return inj.profile
-}
-
 // Profile is a named rule set selectable with bypassd-bench -faults.
 type Profile struct {
 	Name  string
@@ -254,7 +243,7 @@ type Profile struct {
 }
 
 // Built-in profiles. Every machine draws the same seeded stream (see
-// NewFromActive), so probabilities are sized for the ~100-1000
+// Plan.NewInjector), so probabilities are sized for the ~100-1000
 // decisions a typical quick-mode machine makes: high enough that the
 // shared stream reliably fires inside that window, low enough that the
 // bounded retries (3 per layer) almost never exhaust — experiments
@@ -343,97 +332,71 @@ func ProfileByName(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
-// activeSpec is the process-global fault configuration new machines
-// pick up at boot.
-type activeSpec struct {
+// Plan is one run's fault configuration: a built-in profile and the
+// seed every machine's injector draws from. A nil *Plan is inert: it
+// builds nil injectors and reports no fires.
+type Plan struct {
 	prof Profile
 	seed int64
+
+	// counts holds each built injector's per-site counters (not the
+	// injector, so a finished machine's PRNG is not kept alive).
+	mu     sync.Mutex // machines boot concurrently
+	counts []map[string]int64
 }
 
-var active atomic.Pointer[activeSpec]
-
-// Activate arms the named profile for every machine booted until
-// Deactivate. It resets the global fire counters so a run's report
-// covers exactly that run. An unknown name is an error.
-func Activate(name string, seed int64) error {
+// NewPlan resolves a built-in profile for a run seeded with seed. An
+// unknown name is an error, so a typo fails before any machine boots.
+func NewPlan(name string, seed int64) (*Plan, error) {
 	p, ok := ProfileByName(name)
 	if !ok {
 		var names []string
 		for _, b := range Profiles() {
 			names = append(names, b.Name)
 		}
-		return fmt.Errorf("faults: unknown profile %q (have %s)", name, strings.Join(names, ", "))
+		return nil, fmt.Errorf("faults: unknown profile %q (have %s)", name, strings.Join(names, ", "))
 	}
-	ResetGlobal()
-	active.Store(&activeSpec{prof: p, seed: seed})
-	return nil
+	return &Plan{prof: p, seed: seed}, nil
 }
 
-// Deactivate disarms fault injection for subsequently booted machines.
-func Deactivate() { active.Store(nil) }
-
-// ActiveName reports the armed profile name, or "".
-func ActiveName() string {
-	if s := active.Load(); s != nil {
-		return s.prof.Name
-	}
-	return ""
-}
-
-// NewFromActive builds a machine's injector from the armed profile,
-// or returns nil (inert) when no profile is active. Every machine gets
-// the same seed and rules, so a machine's fault stream depends only on
-// its own deterministic decision sequence — never on how many machines
-// boot or on scheduling across them.
-func NewFromActive() *Injector {
-	s := active.Load()
-	if s == nil {
+// NewInjector builds one machine's injector, or nil (inert) for a nil
+// plan. Every machine gets the same seed and rules, so a machine's
+// fault stream depends only on its own deterministic decision
+// sequence — never on how many machines boot or on scheduling across
+// them.
+func (pl *Plan) NewInjector() *Injector {
+	if pl == nil {
 		return nil
 	}
-	inj := NewInjector(s.seed, s.prof.Rules)
-	inj.profile = s.prof.Name
+	inj := NewInjector(pl.seed, pl.prof.Rules)
+	pl.mu.Lock()
+	pl.counts = append(pl.counts, inj.counts)
+	pl.mu.Unlock()
 	return inj
 }
 
-// Global aggregated fire counters, reported by bypassd-bench. Machines
-// boot concurrently under parallel sweeps, so these take a lock; the
-// per-injector counters stay lock-free.
-var (
-	globalMu     sync.Mutex
-	globalCounts = make(map[string]int64)
-	globalTotal  int64
-)
-
-func recordGlobal(site string) {
-	globalMu.Lock()
-	globalCounts[site]++
-	globalTotal++
-	globalMu.Unlock()
-}
-
-// ResetGlobal zeroes the aggregated counters.
-func ResetGlobal() {
-	globalMu.Lock()
-	globalCounts = make(map[string]int64)
-	globalTotal = 0
-	globalMu.Unlock()
-}
-
-// GlobalTotal reports the process-wide fire count since the last
-// reset.
-func GlobalTotal() int64 {
-	globalMu.Lock()
-	defer globalMu.Unlock()
-	return globalTotal
-}
-
-// GlobalCounts returns a copy of the process-wide per-site counters.
-func GlobalCounts() map[string]int64 {
-	globalMu.Lock()
-	defer globalMu.Unlock()
-	out := make(map[string]int64, len(globalCounts))
-	for k, v := range globalCounts {
-		out[k] = v
+// Counts sums the per-site fire counters of every injector the plan
+// built. Read it after the run: injectors count without locks.
+func (pl *Plan) Counts() map[string]int64 {
+	if pl == nil {
+		return nil
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	out := make(map[string]int64)
+	for _, c := range pl.counts {
+		for k, v := range c {
+			out[k] += v
+		}
 	}
 	return out
+}
+
+// Total sums the fire counts of every injector the plan built.
+func (pl *Plan) Total() int64 {
+	var n int64
+	for _, v := range pl.Counts() {
+		n += v
+	}
+	return n
 }

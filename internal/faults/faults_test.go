@@ -15,7 +15,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if _, ok := inj.FireDelayQ("device/x/delay", 3); ok {
 		t.Fatal("nil injector fired delay")
 	}
-	if inj.Total() != 0 || inj.Counts() != nil || inj.ProfileName() != "" {
+	if inj.Total() != 0 || inj.Counts() != nil {
 		t.Fatal("nil injector reported state")
 	}
 }
@@ -150,46 +150,46 @@ func TestCounts(t *testing.T) {
 	}
 }
 
-func TestActivateDeactivate(t *testing.T) {
-	defer Deactivate()
-	if err := Activate("no-such-profile", 1); err == nil {
+func TestPlanBuildsInjectors(t *testing.T) {
+	if _, err := NewPlan("no-such-profile", 1); err == nil {
 		t.Fatal("unknown profile accepted")
 	}
-	if inj := NewFromActive(); inj != nil {
-		t.Fatal("injector built with no active profile")
+	var none *Plan
+	if none.NewInjector() != nil || none.Total() != 0 || none.Counts() != nil {
+		t.Fatal("nil plan is not inert")
 	}
-	if err := Activate("flaky-media", 9); err != nil {
+	pl, err := NewPlan("flaky-media", 9)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ActiveName() != "flaky-media" {
-		t.Fatalf("active = %q", ActiveName())
+	if pl.prof.Name != "flaky-media" || pl.seed != 9 {
+		t.Fatalf("plan = %s at seed %d", pl.prof.Name, pl.seed)
 	}
-	inj := NewFromActive()
-	if inj == nil || inj.ProfileName() != "flaky-media" {
-		t.Fatalf("injector = %+v", inj)
-	}
-	Deactivate()
-	if ActiveName() != "" || NewFromActive() != nil {
-		t.Fatal("deactivate did not disarm")
+	// Two machines booted under one plan draw identical streams.
+	a, b := pl.NewInjector(), pl.NewInjector()
+	for i := 0; i < 200; i++ {
+		if a.FireQ("device/x/media", 1) != b.FireQ("device/x/media", 1) {
+			t.Fatalf("decision %d differs between injectors of one plan", i)
+		}
 	}
 }
 
-func TestGlobalCountersAggregate(t *testing.T) {
-	ResetGlobal()
-	a := NewInjector(1, []Rule{{Site: "g"}})
-	b := NewInjector(2, []Rule{{Site: "g"}})
-	a.Fire("g")
-	b.Fire("g")
-	b.Fire("g")
-	if GlobalTotal() != 3 {
-		t.Fatalf("global total = %d", GlobalTotal())
+func TestPlanSumsInjectorCounts(t *testing.T) {
+	pl, err := NewPlan("revoke-storm", 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if GlobalCounts()["g"] != 3 {
-		t.Fatalf("global counts = %v", GlobalCounts())
+	a, b := pl.NewInjector(), pl.NewInjector()
+	for i := 0; i < 500; i++ {
+		a.Fire(SiteKernelRevoke)
+		b.Fire(SiteKernelFmapZero)
 	}
-	ResetGlobal()
-	if GlobalTotal() != 0 || len(GlobalCounts()) != 0 {
-		t.Fatal("reset did not clear")
+	if pl.Total() != a.Total()+b.Total() || pl.Total() == 0 {
+		t.Fatalf("plan total = %d, injectors %d + %d", pl.Total(), a.Total(), b.Total())
+	}
+	got := pl.Counts()
+	if got[SiteKernelRevoke] != a.Counts()[SiteKernelRevoke] || got[SiteKernelFmapZero] != b.Counts()[SiteKernelFmapZero] {
+		t.Fatalf("plan counts = %v", got)
 	}
 }
 

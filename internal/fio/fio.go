@@ -74,9 +74,11 @@ type Spec struct {
 	PWCHitWalkLatency sim.Time
 	PWCMinTranslation sim.Time
 	Seed              int64
-	// Trace attaches a span tracer to the machine even when the global
-	// trace plane is off, so GroupResult.Phases is populated.
+	// Trace attaches a span tracer to the machine even when the run
+	// environment does not trace, so GroupResult.Phases is populated.
 	Trace bool
+	// Env is the run environment the machine boots into.
+	Env kernel.Env
 }
 
 // SetupFile creates and preallocates one benchmark file for an
@@ -113,7 +115,7 @@ func Run(spec Spec, groups []Group) (map[string]*GroupResult, error) {
 		capacity = need*3/2 + (64 << 20)
 		capacity = (capacity + storage.SectorSize - 1) &^ (storage.SectorSize - 1)
 	}
-	sys, err := core.New(capacity)
+	sys, err := core.Boot(spec.Env, capacity, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -29,14 +29,11 @@ package frontend
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/ext4"
 	"repro/internal/faults"
 	"repro/internal/kernel"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -371,9 +368,9 @@ func (r *Result) SLOCompliance() float64 {
 
 // request is one admitted arrival.
 type request struct {
-	at   sim.Time
-	pidx uint64 // index into the device's user partition
-	key  uint64
+	at    sim.Time
+	pidx  uint64 // index into the device's user partition
+	key   uint64
 	write bool
 }
 
@@ -473,26 +470,12 @@ func reqShare(requests, ndev, d int) int {
 	return n
 }
 
-// Run executes a fleet on one freshly booted system.
-func Run(seed int64, fl Fleet) (*Result, error) {
-	res, _, err := RunCountedWorkers(seed, fl, 1)
-	return res, err
-}
-
-// RunWorkers is Run with the traffic phase executing on the given
-// number of host workers (multi-device fleets only; the conservative
-// epoch engine). Results are byte-identical at any worker count.
-func RunWorkers(seed int64, fl Fleet, workers int) (*Result, error) {
-	res, _, err := RunCountedWorkers(seed, fl, workers)
-	return res, err
-}
-
-// RunCountedWorkers executes the fleet and additionally reports the
-// number of simulator events dispatched (the throughput suite's
-// numerator). Setup (mounts, store builds, pool processes) runs
-// coupled; the epoch engine arms for the traffic phase on
-// multi-device fleets, exactly like the tenants plane.
-func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, error) {
+// Run executes the fleet as a phased run (core.RunPhased) on one
+// freshly booted system and reports the simulator events dispatched.
+// Setup — mounts, store builds, the pool's processes — runs coupled;
+// arrivals and service are the traffic phase. Results are identical
+// at any o.Workers.
+func Run(seed int64, fl Fleet, o core.RunOptions) (*Result, uint64, error) {
 	fl, err := fl.normalized()
 	if err != nil {
 		return nil, 0, err
@@ -503,72 +486,51 @@ func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, erro
 		return nil, 0, err
 	}
 
-	sys, err := core.NewN(bk.capacity(fl), ndev)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer sys.Close()
-	for _, n := range sys.M.Nodes {
-		n.Dev.SetArbiter(device.ArbiterByName(fl.Arbiter))
-	}
-
 	res := &Result{Fleet: fl, Devices: make([]*DevResult, ndev)}
 	states := make([]*devState, ndev)
-	for d := 0; d < ndev; d++ {
-		p := partSize(fl.Users, ndev, d)
-		res.Devices[d] = &DevResult{Device: d, Sojourn: stats.NewHistogram()}
-		states[d] = &devState{
-			more:   sys.Sim.NewCond(),
-			served: make([]uint64, (p+63)/64),
-		}
-	}
-
-	var errMu sync.Mutex
-	var runErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
-
-	sys.Sim.Spawn("frontend-setup", func(p *sim.Proc) {
-		// Coupled phase: per-device mounts, store builds, and the
-		// worker-process pool, in device order.
-		for d := 0; d < ndev; d++ {
-			root := sys.NewProcessOn(ext4.Root, d)
-			if err := root.Mkdir(p, "/frontend", 0o777); err != nil {
-				fail(err)
-				return
+	events, err := core.RunPhased(core.Phased{
+		Name:     "frontend",
+		Capacity: bk.capacity(fl),
+		Devices:  ndev,
+		Arbiter:  fl.Arbiter,
+		Setup: func(p *sim.Proc, r *core.PhasedRun) error {
+			sys := r.Sys
+			for d := 0; d < ndev; d++ {
+				res.Devices[d] = &DevResult{Device: d, Sojourn: stats.NewHistogram()}
+				states[d] = &devState{
+					more:   sys.Sim.NewCond(),
+					served: make([]uint64, (partSize(fl.Users, ndev, d)+63)/64),
+				}
 			}
-			if err := bk.build(p, sys, d, fl); err != nil {
-				fail(err)
-				return
+			// Per-device mounts, store builds, and the worker-process
+			// pool, in device order.
+			for d := 0; d < ndev; d++ {
+				root := sys.NewProcessOn(ext4.Root, d)
+				if err := root.Mkdir(p, "/frontend", 0o777); err != nil {
+					return err
+				}
+				if err := bk.build(p, sys, d, fl); err != nil {
+					return err
+				}
+				if err := root.Sync(p); err != nil {
+					return err
+				}
 			}
-			if err := root.Sync(p); err != nil {
-				fail(err)
-				return
+			prs := make([]*kernel.Process, fl.Pool)
+			for wi := 0; wi < fl.Pool; wi++ {
+				prs[wi] = sys.NewProcessOn(ext4.Root, wi%ndev)
 			}
-		}
-		prs := make([]*kernel.Process, fl.Pool)
-		for wi := 0; wi < fl.Pool; wi++ {
-			prs[wi] = sys.NewProcessOn(ext4.Root, wi%ndev)
-		}
-		for d := 0; d < ndev; d++ {
-			startDevice(sys, bk, fl, seed, d, states[d], res.Devices[d], fail)
-		}
-		for wi := 0; wi < fl.Pool; wi++ {
-			startWorker(sys, bk, fl, wi, prs[wi], states[wi%ndev], res.Devices[wi%ndev], fail)
-		}
-		if ndev > 1 {
-			sys.M.ArmParallel(workers)
-		}
-	})
-	sys.Sim.Run()
-	sys.M.DisarmParallel()
-	if runErr != nil {
-		return nil, 0, runErr
+			for d := 0; d < ndev; d++ {
+				startDevice(sys, fl, seed, d, states[d], res.Devices[d], r.Fail)
+			}
+			for wi := 0; wi < fl.Pool; wi++ {
+				startWorker(sys, bk, fl, wi, prs[wi], states[wi%ndev], res.Devices[wi%ndev], r.Fail)
+			}
+			return nil
+		},
+	}, o)
+	if err != nil {
+		return nil, 0, err
 	}
 	for d := 0; d < ndev; d++ {
 		for _, word := range states[d].served {
@@ -577,19 +539,26 @@ func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, erro
 			}
 		}
 	}
-	return res, sys.Sim.Processed(), nil
+	return res, events, nil
+}
+
+// RunCountedWorkers is Run outside any run environment, on workers
+// host workers.
+func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, error) {
+	return Run(seed, fl, core.RunOptions{Workers: workers})
 }
 
 // startDevice spawns device d's arrival generator on its event shard.
 // The generator owns the device's rng, its admission decisions, and
 // its fairness queues' tails.
-func startDevice(sys *core.System, bk backend, fl Fleet, seed int64, d int, ds *devState, dr *DevResult, fail func(error)) {
+func startDevice(sys *core.System, fl Fleet, seed int64, d int, ds *devState, dr *DevResult, fail func(error)) {
 	shard := sys.M.Nodes[d].Shard
 	ndev := fl.Devices
 	part := partSize(fl.Users, ndev, d)
 	reqs := reqShare(fl.Requests, ndev, d)
-	mOffered := metrics.GetCounter("frontend_requests_total", "dev", fmt.Sprint(d))
-	mShed := metrics.GetCounter("frontend_shed_total", "dev", fmt.Sprint(d))
+	reg := sys.M.Metrics
+	mOffered := reg.Counter("frontend_requests_total", "dev", fmt.Sprint(d))
+	mShed := reg.Counter("frontend_shed_total", "dev", fmt.Sprint(d))
 
 	sys.Sim.SpawnOn(shard, fmt.Sprintf("frontend-gen-%d", d), func(g *sim.Proc) {
 		rng := rand.New(rand.NewSource(seed*104729 + int64(d)*7919 + 29))
@@ -706,9 +675,10 @@ func startWorker(sys *core.System, bk backend, fl Fleet, wi int, pr *kernel.Proc
 		interval = 100 * sim.Microsecond
 	}
 	route := fl.routeCost()
-	mDone := metrics.GetCounter("frontend_completed_total", "dev", fmt.Sprint(d))
-	mShed := metrics.GetCounter("frontend_shed_total", "dev", fmt.Sprint(d))
-	mSojourn := metrics.GetHistogram("frontend_sojourn_ns", "dev", fmt.Sprint(d))
+	reg := sys.M.Metrics
+	mDone := reg.Counter("frontend_completed_total", "dev", fmt.Sprint(d))
+	mShed := reg.Counter("frontend_shed_total", "dev", fmt.Sprint(d))
+	mSojourn := reg.Histogram("frontend_sojourn_ns", "dev", fmt.Sprint(d))
 
 	sys.Sim.SpawnOn(shard, fmt.Sprintf("frontend-w%d", wi), func(w *sim.Proc) {
 		abort := func(err error) {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -40,7 +41,7 @@ func TestFleetValidation(t *testing.T) {
 	for _, tc := range cases {
 		fl := base
 		tc.mut(&fl)
-		if _, err := Run(1, fl); err == nil {
+		if _, err := runFleet(1, fl); err == nil {
 			t.Errorf("%s: fleet accepted", tc.name)
 		}
 	}
@@ -50,7 +51,7 @@ func TestFleetValidation(t *testing.T) {
 	fl.Backend = "bpfkv"
 	fl.WriteFrac = 0.5
 	fl.Users, fl.Requests = 400, 800
-	if _, err := Run(1, fl); err != nil {
+	if _, err := runFleet(1, fl); err != nil {
 		t.Fatalf("bpfkv fleet with writes requested: %v", err)
 	}
 }
@@ -78,11 +79,17 @@ func TestFleetJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// runFleet runs a fleet outside any run environment.
+func runFleet(seed int64, fl Fleet) (*Result, error) {
+	res, _, err := Run(seed, fl, core.RunOptions{})
+	return res, err
+}
+
 // render runs a fleet and renders its report — the byte-level
 // fingerprint the determinism tests compare.
 func render(t *testing.T, seed int64, fl Fleet, workers int) string {
 	t.Helper()
-	res, err := RunWorkers(seed, fl, workers)
+	res, _, err := Run(seed, fl, core.RunOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +131,7 @@ func TestUserCoverage(t *testing.T) {
 	fl := testFleet(AdmitAll, 0.8)
 	fl.Users = 4001
 	fl.Requests = int(fl.Users) * 13 / 10
-	res, err := Run(3, fl)
+	res, err := runFleet(3, fl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +153,7 @@ func TestUserCoverage(t *testing.T) {
 // inside it.
 func TestAdmissionAtSaturation(t *testing.T) {
 	run := func(policy Policy) *Result {
-		res, err := Run(42, testFleet(policy, 2))
+		res, err := runFleet(42, testFleet(policy, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +202,7 @@ func TestBackends(t *testing.T) {
 		fl.Users, fl.Requests = 600, 1200
 		fl.WriteFrac = 0.3
 		fl.StoreKeys = 512
-		res, err := Run(11, fl)
+		res, err := runFleet(11, fl)
 		if err != nil {
 			t.Fatalf("%s: %v", bk, err)
 		}
@@ -217,7 +224,7 @@ func TestLoadShapes(t *testing.T) {
 			t.Fatalf("%s not a builtin", name)
 		}
 		fl.Users, fl.Requests = 2000, 4000
-		res, err := Run(5, fl)
+		res, err := runFleet(5, fl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,9 +242,11 @@ func TestLoadShapes(t *testing.T) {
 // still completes without error.
 func TestTenantStorm(t *testing.T) {
 	fl := testFleet(AdmitCoDel, 1)
-	faults.Activate("tenant-storm", 42)
-	defer faults.Deactivate()
-	res, err := Run(42, fl)
+	plan, err := faults.NewPlan("tenant-storm", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _, err := Run(42, fl, core.RunOptions{Env: kernel.Env{Faults: plan}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +302,7 @@ func TestMillionUsers(t *testing.T) {
 	// proportions would take minutes, so cover 2^17 users here; the
 	// full T10 table (docs/results-full.md) runs the 2^20 cells.
 	fl := ServiceFleet(AdmitAll, 0.8, ndev, 16, 1<<17, (1<<17)*13/10)
-	res, err := Run(42, fl)
+	res, err := runFleet(42, fl)
 	if err != nil {
 		t.Fatal(err)
 	}

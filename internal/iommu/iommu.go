@@ -211,8 +211,8 @@ type IOMMU struct {
 
 	inj *faults.Injector // machine fault plane; nil = inert
 
-	// Metrics handles, resolved once at construction; nil (inert)
-	// when no registry is active.
+	// Metrics handles, resolved once by SetEnv; nil (inert) when the
+	// run has no registry.
 	mHits, mMisses       *metrics.Counter
 	mFaults, mDenials    *metrics.Counter
 	mWalks               *metrics.Counter
@@ -227,13 +227,6 @@ func New(cfg Config) *IOMMU {
 		iotlb:      make(map[tlbKey]tlbVal),
 		tlbByPasid: make(map[uint32]map[uint64]struct{}),
 		pwc:        make(map[uint32]*pwcCache),
-		mHits:      metrics.GetCounter("iommu_iotlb_total", "event", "hit"),
-		mMisses:    metrics.GetCounter("iommu_iotlb_total", "event", "miss"),
-		mFaults:    metrics.GetCounter("iommu_translations_total", "result", "fault"),
-		mDenials:   metrics.GetCounter("iommu_translations_total", "result", "denied"),
-		mWalks:     metrics.GetCounter("iommu_walks_total"),
-		mPWCHits:   metrics.GetCounter("iommu_pwc_total", "event", "hit"),
-		mPWCMisses: metrics.GetCounter("iommu_pwc_total", "event", "miss"),
 	}
 }
 
@@ -268,8 +261,18 @@ func (u *IOMMU) SetPWCConfig(entries int, hitWalk, minTranslation sim.Time) {
 	}
 }
 
-// SetInjector attaches the machine's fault plane.
-func (u *IOMMU) SetInjector(inj *faults.Injector) { u.inj = inj }
+// SetEnv attaches the machine's fault plane and resolves the IOMMU's
+// metric series on reg (nil handles when reg is nil).
+func (u *IOMMU) SetEnv(inj *faults.Injector, reg *metrics.Registry) {
+	u.inj = inj
+	u.mHits = reg.Counter("iommu_iotlb_total", "event", "hit")
+	u.mMisses = reg.Counter("iommu_iotlb_total", "event", "miss")
+	u.mFaults = reg.Counter("iommu_translations_total", "result", "fault")
+	u.mDenials = reg.Counter("iommu_translations_total", "result", "denied")
+	u.mWalks = reg.Counter("iommu_walks_total")
+	u.mPWCHits = reg.Counter("iommu_pwc_total", "event", "hit")
+	u.mPWCMisses = reg.Counter("iommu_pwc_total", "event", "miss")
+}
 
 // RegisterPASID binds a process page table to a PASID, as the kernel
 // driver does when creating user queue pairs (paper §3.3).

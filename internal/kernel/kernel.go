@@ -51,6 +51,21 @@ type Config struct {
 	UringVFSCost sim.Time // kernel work per io_uring op (no switches)
 	AioReap      sim.Time // per-event io_getevents cost
 	XRPBpfExec   sim.Time // one BPF hook execution in the driver
+
+	// Env is the run the machine boots into: how it is faulted and
+	// observed. The zero value turns every plane off.
+	Env Env
+}
+
+// Env is one run's scope: the fault plan, trace collector and metrics
+// registry every machine the run boots picks up at boot, and nothing
+// outside the run sees. Each field is nil-safe and independent; the
+// zero Env is a clean, unobserved run. Runs with different Envs may
+// execute concurrently in one process.
+type Env struct {
+	Faults  *faults.Plan      // each machine builds its injector here
+	Trace   *trace.Collector  // each machine registers a tracer here
+	Metrics *metrics.Registry // each layer resolves its series here
 }
 
 // DefaultConfig returns the paper calibration.
@@ -104,7 +119,7 @@ type DevNode struct {
 	// (paper §3.4, Fig. 3) behaves exactly as with one shared agent.
 	MMU *iommu.IOMMU
 	Dev *device.SSD
-	FS    *ext4.FS
+	FS  *ext4.FS
 
 	kq *kernelQueue
 }
@@ -133,19 +148,23 @@ type Machine struct {
 	// Fig. 3) is a silent no-op between devices sharing an ID.
 	nodeByDev map[uint8]*DevNode
 
-	// Faults is the machine's fault plane, built from the globally
-	// active profile at boot and shared with the devices, IOMMU and
-	// file systems. Nil (the untriggered default) is inert.
+	// Faults is the machine's fault plane, built from Cfg.Env's plan at
+	// boot and shared with the devices, IOMMU and file systems. Nil
+	// (the untriggered default) is inert.
 	Faults *faults.Injector
+
+	// Metrics is Cfg.Env's registry, which every layer of the machine
+	// resolves its series on. Nil is inert.
+	Metrics *metrics.Registry
 
 	// BlockRetries counts transient device errors the kernel block
 	// layer absorbed by resubmitting. Updated atomically: kernel block
 	// I/O can retry on any node's shard.
 	BlockRetries int64
 
-	// Trace is the machine's span tracer, picked up from the globally
-	// armed trace plane at boot (or attached later via EnableTrace).
-	// Nil — the untriggered default — is inert.
+	// Trace is the machine's span tracer, registered with Cfg.Env's
+	// collector at boot (or attached later via EnableTrace). Nil — the
+	// untriggered default — is inert.
 	Trace *trace.Tracer
 
 	kq *kernelQueue
@@ -250,7 +269,8 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		writeLocks:  make(map[inoKey]*sim.Resource),
 		nextPASID:   100,
 	}
-	m.Faults = faults.NewFromActive()
+	m.Faults = cfg.Env.Faults.NewInjector()
+	m.Metrics = cfg.Env.Metrics
 
 	names := make(map[string]bool, len(dcfgs))
 	for i := range dcfgs {
@@ -279,10 +299,10 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		// One IOMMU per node (see DevNode.MMU): the node's ATS traffic
 		// stays on its own event shard.
 		mmu := iommu.New(iommu.DefaultConfig())
-		mmu.SetInjector(m.Faults)
+		mmu.SetEnv(m.Faults, m.Metrics)
 		dev := device.NewWithStore(s, dcfg, st)
 		dev.AttachIOMMU(mmu)
-		dev.SetInjector(m.Faults)
+		dev.SetEnv(m.Faults, m.Metrics)
 
 		if fresh {
 			if err := ext4.Mkfs(&ext4.Direct{St: st}, ext4.DefaultOptions(dcfg.CapacityBytes, dcfg.DevID)); err != nil {
@@ -305,7 +325,7 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		n := &DevNode{Index: i, Shard: dcfg.Shard, MMU: mmu, Dev: dev, FS: fs}
 		n.kq = &kernelQueue{m: m, n: n, q: q, waiters: make(map[uint16]*waiter)}
 		fs.SetBlockIO(&kernelBIO{m: m, n: n})
-		fs.SetInjector(m.Faults)
+		fs.SetEnv(m.Faults, m.Metrics)
 
 		if prev, dup := m.nodeByDev[dcfg.DevID]; dup {
 			return nil, fmt.Errorf("kernel: duplicate DevID %d (%s and %s)",
@@ -325,19 +345,21 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 			return nil, fmt.Errorf("kernel: multi-node boot with a non-positive lookahead floor %d — every cross-shard interaction cost must be positive", m.lookahead)
 		}
 	}
-	m.mBlockRetries = metrics.GetCounter("kernel_block_retries_total")
-	if tr := trace.NewFromActive(dcfgs[0].Name); tr != nil {
+	m.mBlockRetries = m.Metrics.Counter("kernel_block_retries_total")
+	if tr := cfg.Env.Trace.NewTracer(dcfgs[0].Name); tr != nil {
 		m.EnableTrace(tr)
 	}
 	return m, nil
 }
 
 // EnableTrace attaches a span tracer to the machine and its file
-// systems. Harnesses that want attribution without arming the global
-// plane (fio.Spec.Trace, the T6 experiment) call this with a
-// standalone trace.NewTracer.
+// systems, feeding the tracer's io_* series into the machine's
+// registry. Harnesses that want attribution without a run-wide trace
+// (fio.Spec.Trace, the T6 experiment) call this with a standalone
+// trace.NewTracer.
 func (m *Machine) EnableTrace(tr *trace.Tracer) {
 	m.Trace = tr
+	tr.SetMetrics(m.Metrics)
 	for _, n := range m.Nodes {
 		n.FS.SetTracer(tr)
 	}

@@ -23,7 +23,9 @@ import (
 // NewGuestMachine boots a guest over vf. The guest shares the host's
 // CPU cores; nested is the extra VBA translation cost of the
 // second-level walk (0 for the paper's ~550 ns single-level model; a
-// few hundred ns is realistic for nested paging).
+// few hundred ns is realistic for nested paging). The guest reports
+// into the host's metrics registry; it has no fault plane or tracer of
+// its own.
 func NewGuestMachine(s *sim.Sim, cfg Config, host *Machine, vf *device.SSD, nested sim.Time) (*Machine, error) {
 	m := &Machine{
 		Sim:         s,
@@ -34,6 +36,7 @@ func NewGuestMachine(s *sim.Sim, cfg Config, host *Machine, vf *device.SSD, nest
 		revoked:     make(map[inoKey]bool),
 		writeLocks:  make(map[inoKey]*sim.Resource),
 		nextPASID:   100,
+		Metrics:     host.Metrics,
 	}
 	m.Dev = vf
 
@@ -41,6 +44,7 @@ func NewGuestMachine(s *sim.Sim, cfg Config, host *Machine, vf *device.SSD, nest
 	icfg.WalkLatency += nested
 	icfg.MinTranslation += nested
 	m.MMU = iommu.New(icfg)
+	m.MMU.SetEnv(nil, m.Metrics)
 	vf.AttachIOMMU(m.MMU)
 
 	// Boot the guest file system inside the VF window, formatting on
@@ -60,6 +64,7 @@ func NewGuestMachine(s *sim.Sim, cfg Config, host *Machine, vf *device.SSD, nest
 			return nil, err
 		}
 	}
+	fs.SetEnv(nil, m.Metrics)
 	m.FS = fs
 
 	q, err := vf.CreateQueue(0, 4096)

@@ -1,15 +1,14 @@
-// Package metrics is the process-wide metrics registry of the
+// Package metrics is the per-run metrics registry of the
 // observability plane: a unified Counter/Gauge/Histogram API with
 // labeled series behind the ad-hoc tallies the subsystems kept before
 // (userlib.Stats, device/IOMMU counters, fault-plane aggregates).
 //
-// The registry follows the faults package's activation pattern:
-// bypassd-bench (or a test) calls Activate before booting machines,
-// and constructors resolve their series handles once at boot via
-// GetCounter/GetGauge/GetHistogram. When no registry is active the
-// handles are nil, and every method on a nil handle is a no-op — the
-// disabled configuration stays structurally identical to a build
-// without metrics: no locks, no atomics, no allocations.
+// A run that wants metrics carries a Registry in its environment
+// (kernel.Env); each machine it boots hands the registry to its
+// layers, which resolve their series handles once at boot. A nil
+// *Registry resolves nil handles, and every method on a nil handle is
+// a no-op — the disabled configuration stays structurally identical
+// to a build without metrics: no locks, no atomics, no allocations.
 //
 // Series values are sums of per-machine contributions. Machines boot
 // concurrently under parallel sweeps, so Counter/Gauge use atomics and
@@ -30,7 +29,7 @@ import (
 )
 
 // Counter is a monotonically increasing series. A nil *Counter — the
-// handle subsystems hold when no registry is active — is inert.
+// handle subsystems hold when their run has no registry — is inert.
 type Counter struct{ v atomic.Int64 }
 
 // Add increments the counter by n.
@@ -136,7 +135,8 @@ const DefaultSeriesCap = 512
 // overflowKey is the fold-target series for a name past its cap.
 func overflowKey(name string) string { return name + `{label="_overflow"}` }
 
-// Registry holds every series created while it was active.
+// Registry holds every series one run's machines resolved. A nil
+// *Registry resolves nil (inert) handles.
 type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
@@ -146,8 +146,7 @@ type Registry struct {
 	perName   map[string]int // distinct labeled series per metric name
 }
 
-// NewRegistry returns an empty registry (tests; Activate for the
-// process-global one).
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:  make(map[string]*Counter),
@@ -186,23 +185,6 @@ func (r *Registry) resolveKey(name string, labels []string, known func(string) b
 	return key
 }
 
-var active atomic.Pointer[Registry]
-
-// Activate installs a fresh process-global registry and returns it.
-// Subsystem constructors resolve their handles from it at boot.
-func Activate() *Registry {
-	r := NewRegistry()
-	active.Store(r)
-	return r
-}
-
-// Deactivate removes the global registry; subsequently booted
-// machines get nil (inert) handles.
-func Deactivate() { active.Store(nil) }
-
-// Active returns the global registry, or nil when metrics are off.
-func Active() *Registry { return active.Load() }
-
 // seriesKey renders "name{k1="v1",k2="v2"}" with labels sorted by key,
 // from an alternating key, value list.
 func seriesKey(name string, labels []string) string {
@@ -220,8 +202,12 @@ func seriesKey(name string, labels []string) string {
 	return name + "{" + strings.Join(pairs, ",") + "}"
 }
 
-// Counter resolves (creating on first use) a counter series.
+// Counter resolves (creating on first use) a counter series, or
+// returns nil on a nil registry.
 func (r *Registry) Counter(name string, labels ...string) *Counter {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := r.resolveKey(name, labels, func(k string) bool { _, ok := r.counters[k]; return ok })
@@ -233,8 +219,12 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	return c
 }
 
-// Gauge resolves (creating on first use) a gauge series.
+// Gauge resolves (creating on first use) a gauge series, or
+// returns nil on a nil registry.
 func (r *Registry) Gauge(name string, labels ...string) *Gauge {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := r.resolveKey(name, labels, func(k string) bool { _, ok := r.gauges[k]; return ok })
@@ -246,8 +236,12 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	return g
 }
 
-// Histogram resolves (creating on first use) a histogram series.
+// Histogram resolves (creating on first use) a histogram series, or
+// returns nil on a nil registry.
 func (r *Registry) Histogram(name string, labels ...string) *Histogram {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	key := r.resolveKey(name, labels, func(k string) bool { _, ok := r.hists[k]; return ok })
@@ -257,31 +251,6 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 		r.hists[key] = h
 	}
 	return h
-}
-
-// GetCounter resolves a counter on the active registry, or nil (an
-// inert handle) when metrics are off.
-func GetCounter(name string, labels ...string) *Counter {
-	if r := Active(); r != nil {
-		return r.Counter(name, labels...)
-	}
-	return nil
-}
-
-// GetGauge resolves a gauge on the active registry, or nil.
-func GetGauge(name string, labels ...string) *Gauge {
-	if r := Active(); r != nil {
-		return r.Gauge(name, labels...)
-	}
-	return nil
-}
-
-// GetHistogram resolves a histogram on the active registry, or nil.
-func GetHistogram(name string, labels ...string) *Histogram {
-	if r := Active(); r != nil {
-		return r.Histogram(name, labels...)
-	}
-	return nil
 }
 
 // Render returns the registry as sorted plain text, one series per

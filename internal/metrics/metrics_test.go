@@ -24,12 +24,12 @@ func TestSeriesKeySortsLabels(t *testing.T) {
 }
 
 func TestNilHandlesAreInert(t *testing.T) {
-	Deactivate()
-	c := GetCounter("c")
-	g := GetGauge("g")
-	h := GetHistogram("h")
+	var off *Registry
+	c := off.Counter("c")
+	g := off.Gauge("g")
+	h := off.Histogram("h")
 	if c != nil || g != nil || h != nil {
-		t.Fatal("inactive registry must hand out nil handles")
+		t.Fatal("nil registry must hand out nil handles")
 	}
 	// Every method on a nil handle is a no-op, not a crash.
 	c.Inc()
@@ -80,8 +80,7 @@ func TestRegistryAccumulates(t *testing.T) {
 // update it — and checks the totals are exact. Run under -race this is
 // the observability plane's thread-safety gate.
 func TestConcurrentCells(t *testing.T) {
-	r := Activate()
-	defer Deactivate()
+	r := NewRegistry()
 
 	const workers = 8
 	const perWorker = 1000
@@ -93,10 +92,10 @@ func TestConcurrentCells(t *testing.T) {
 			defer wg.Done()
 			// Each "cell" resolves its handles at boot, like machine
 			// constructors do, including one series shared by all.
-			shared := GetCounter("shared_total")
-			own := GetCounter("per_cell_total", "cell", string(rune('a'+w)))
-			gauge := GetGauge("depth")
-			hist := GetHistogram("lat")
+			shared := r.Counter("shared_total")
+			own := r.Counter("per_cell_total", "cell", string(rune('a'+w)))
+			gauge := r.Gauge("depth")
+			hist := r.Histogram("lat")
 			for i := 0; i < perWorker; i++ {
 				shared.Inc()
 				own.Inc()

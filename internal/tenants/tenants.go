@@ -26,15 +26,12 @@ package tenants
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/ext4"
 	"repro/internal/faults"
 	"repro/internal/fio"
 	"repro/internal/kernel"
-	"repro/internal/metrics"
 	"repro/internal/nvme"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -185,37 +182,13 @@ func (t *Tenant) validate() error {
 	return nil
 }
 
-// Run executes a scenario on one freshly booted system and returns
-// per-tenant results in tenant order.
-func Run(seed int64, sc Scenario) ([]*Result, error) {
-	results, _, err := RunCounted(seed, sc)
-	return results, err
-}
-
-// RunWorkers is Run with the traffic phase executing on the given
-// number of host workers (multi-device scenarios only; see
-// RunCountedWorkers). Results are identical at any worker count.
-func RunWorkers(seed int64, sc Scenario, workers int) ([]*Result, error) {
-	results, _, err := RunCountedWorkers(seed, sc, workers)
-	return results, err
-}
-
-// RunCounted is Run, additionally reporting the number of simulator
-// events the scenario dispatched — the numerator of the throughput
-// suite's events/sec metric (BenchmarkSimThroughputTenantStorm).
-func RunCounted(seed int64, sc Scenario) ([]*Result, uint64, error) {
-	return RunCountedWorkers(seed, sc, 1)
-}
-
-// RunCountedWorkers executes the scenario with its traffic phase under
-// the simulator's conservative epoch engine on up to workers host
-// goroutines. The setup phase (mkdirs, file preallocation, syncs,
-// process creation) always runs coupled; the engine arms right before
-// the tenant pipelines spawn. On a multi-device scenario the engine is
-// armed even at workers == 1, so a scenario's results are one schedule
-// — byte-identical at every worker count; single-device scenarios
-// never arm and keep their historical coupled schedule.
-func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64, error) {
+// Run executes the scenario as a phased run (core.RunPhased) on one
+// freshly booted system and returns per-tenant results in tenant
+// order, plus the simulator events it dispatched. Setup — mkdirs, file
+// preallocation, syncs, process creation — runs coupled; the tenant
+// pipelines are the traffic phase. Results are identical at any
+// o.Workers.
+func Run(seed int64, sc Scenario, o core.RunOptions) ([]*Result, uint64, error) {
 	if len(sc.Tenants) == 0 {
 		return nil, 0, fmt.Errorf("tenants: scenario %q has no tenants", sc.Name)
 	}
@@ -250,89 +223,65 @@ func RunCountedWorkers(seed int64, sc Scenario, workers int) ([]*Result, uint64,
 		capacity = need*3/2 + (64 << 20)
 		capacity = (capacity + storage.SectorSize - 1) &^ (storage.SectorSize - 1)
 	}
-	sys, err := core.NewN(capacity, ndev)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer sys.Close()
-	for _, n := range sys.M.Nodes {
-		n.Dev.SetArbiter(device.ArbiterByName(sc.Arbiter))
-	}
 
 	results := make([]*Result, len(sc.Tenants))
 	procs := make([]*kernel.Process, len(sc.Tenants))
 	for i := range sc.Tenants {
 		results[i] = &Result{Tenant: sc.Tenants[i], Sojourn: stats.NewHistogram()}
 	}
-	// fail records the first error. Workers on different shards may
-	// race to report during a parallel traffic phase, hence the lock
-	// (the happy path never takes it).
-	var errMu sync.Mutex
-	var runErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if runErr == nil {
-			runErr = err
-		}
-		errMu.Unlock()
-	}
-
-	sys.Sim.Spawn("tenants-setup", func(p *sim.Proc) {
-		// One superuser process per device: a process's file-system
-		// view is its node's mount, so each device gets its own
-		// /tenants tree. At one device this is the historical setup
-		// sequence, event for event.
-		roots := make([]*kernel.Process, ndev)
-		for d := 0; d < ndev; d++ {
-			roots[d] = sys.NewProcessOn(ext4.Root, d)
-			if err := roots[d].Mkdir(p, "/tenants", 0o777); err != nil {
-				fail(err)
-				return
+	events, err := core.RunPhased(core.Phased{
+		Name:     "tenants",
+		Capacity: capacity,
+		Devices:  ndev,
+		Arbiter:  sc.Arbiter,
+		Setup: func(p *sim.Proc, r *core.PhasedRun) error {
+			sys := r.Sys
+			// One superuser process per device: a process's file-system
+			// view is its node's mount, so each device gets its own
+			// /tenants tree. At one device this is the historical setup
+			// sequence, event for event.
+			roots := make([]*kernel.Process, ndev)
+			for d := 0; d < ndev; d++ {
+				roots[d] = sys.NewProcessOn(ext4.Root, d)
+				if err := roots[d].Mkdir(p, "/tenants", 0o777); err != nil {
+					return err
+				}
 			}
-		}
-		for ti := range sc.Tenants {
-			t := &sc.Tenants[ti]
-			if err := fio.SetupFile(p, sys, roots[sc.placement(ti)], tenantPath(ti), t.Engine, t.FileBytes); err != nil {
-				fail(err)
-				return
+			for ti := range sc.Tenants {
+				t := &sc.Tenants[ti]
+				if err := fio.SetupFile(p, sys, roots[sc.placement(ti)], tenantPath(ti), t.Engine, t.FileBytes); err != nil {
+					return err
+				}
 			}
-		}
-		for d := 0; d < ndev; d++ {
-			if err := roots[d].Sync(p); err != nil {
-				fail(err)
-				return
+			for d := 0; d < ndev; d++ {
+				if err := roots[d].Sync(p); err != nil {
+					return err
+				}
 			}
-		}
-		for ti := range sc.Tenants {
-			// Each tenant is its own process: own address space, own
-			// PASID, own QoS class on every queue it registers — bound
-			// to the device the striping policy placed it on.
-			pr := sys.NewProcessOn(ext4.Root, sc.placement(ti))
-			pr.QoS = sc.Tenants[ti].QoS
-			procs[ti] = pr
-			startTenant(sys, pr, &sc.Tenants[ti], ti, seed, results[ti], fail)
-		}
-		// Setup is done; arm the epoch engine for the traffic phase.
-		// Tenant pipelines are device-affine (everything a tenant does
-		// happens on its device's shard), which is exactly the
-		// contract the engine's barrier merge enforces. Arming takes
-		// effect once this proc yields — every event up to here ran
-		// coupled.
-		if ndev > 1 {
-			sys.M.ArmParallel(workers)
-		}
-	})
-	sys.Sim.Run()
-	sys.M.DisarmParallel()
-	if runErr != nil {
-		return nil, 0, runErr
+			for ti := range sc.Tenants {
+				// Each tenant is its own process: own address space, own
+				// PASID, own QoS class on every queue it registers — bound
+				// to the device the striping policy placed it on. Tenant
+				// pipelines are device-affine, as the epoch engine needs.
+				pr := sys.NewProcessOn(ext4.Root, sc.placement(ti))
+				pr.QoS = sc.Tenants[ti].QoS
+				procs[ti] = pr
+				startTenant(sys, pr, &sc.Tenants[ti], ti, seed, results[ti], r.Fail)
+			}
+			return nil
+		},
+		Finish: func(r *core.PhasedRun) {
+			for ti := range sc.Tenants {
+				if sc.Tenants[ti].Engine == core.EngineBypassD {
+					results[ti].Lib = r.Sys.Lib(procs[ti]).Stats
+				}
+			}
+		},
+	}, o)
+	if err != nil {
+		return nil, 0, err
 	}
-	for ti := range sc.Tenants {
-		if sc.Tenants[ti].Engine == core.EngineBypassD {
-			results[ti].Lib = sys.Lib(procs[ti]).Stats
-		}
-	}
-	return results, sys.Sim.Processed(), nil
+	return results, events, nil
 }
 
 func tenantPath(ti int) string { return fmt.Sprintf("/tenants/t%d", ti) }
@@ -350,9 +299,10 @@ func startTenant(sys *core.System, pr *kernel.Process, t *Tenant, ti int, seed i
 	if qd < 1 {
 		qd = 1
 	}
-	mOps := metrics.GetCounter("tenant_ops_total", "tenant", t.Name)
-	mMiss := metrics.GetCounter("tenant_slo_miss_total", "tenant", t.Name)
-	mSojourn := metrics.GetHistogram("tenant_sojourn_ns", "tenant", t.Name)
+	reg := sys.M.Metrics
+	mOps := reg.Counter("tenant_ops_total", "tenant", t.Name)
+	mMiss := reg.Counter("tenant_slo_miss_total", "tenant", t.Name)
+	mSojourn := reg.Histogram("tenant_sojourn_ns", "tenant", t.Name)
 
 	sys.Sim.SpawnOn(shard, "tenant-gen-"+t.Name, func(g *sim.Proc) {
 		// One stream per tenant, drawn only here: arrival instants and

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/kernel"
 	"repro/internal/nvme"
 	"repro/internal/sim"
 )
@@ -20,7 +21,12 @@ func small(arbiter string, hogs int) Scenario {
 
 func run(t *testing.T, seed int64, sc Scenario) []*Result {
 	t.Helper()
-	res, err := Run(seed, sc)
+	return runIn(t, kernel.Env{}, seed, sc)
+}
+
+func runIn(t *testing.T, env kernel.Env, seed int64, sc Scenario) []*Result {
+	t.Helper()
+	res, _, err := Run(seed, sc, core.RunOptions{Env: env})
 	if err != nil {
 		t.Fatalf("%s: %v", sc.Name, err)
 	}
@@ -117,10 +123,10 @@ func TestReplayByteIdentical(t *testing.T) {
 // spikes and queue-full backpressure; the run must complete every
 // arrival while the degradation counters record the events.
 func TestTenantStorm(t *testing.T) {
-	if err := faults.Activate("tenant-storm", 3); err != nil {
+	plan, err := faults.NewPlan("tenant-storm", 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer faults.Deactivate()
 	sc := Scenario{
 		Name: "storm",
 		Tenants: []Tenant{{
@@ -129,7 +135,7 @@ func TestTenantStorm(t *testing.T) {
 			SLO: 30 * sim.Microsecond,
 		}},
 	}
-	r := run(t, 3, sc)[0]
+	r := runIn(t, kernel.Env{Faults: plan}, 3, sc)[0]
 	if r.Ops != 1500 {
 		t.Fatalf("storm run served %d of 1500 (degradation was not graceful)", r.Ops)
 	}
@@ -157,7 +163,7 @@ func TestConcurrentScenarios(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := Run(5, small(arb, 4))
+			res, _, err := Run(5, small(arb, 4), core.RunOptions{})
 			if err != nil {
 				t.Errorf("%s: %v", arb, err)
 				return

@@ -24,22 +24,21 @@
 //	            busy-poll on direct paths).
 //
 // Machines are single-threaded under the cooperative scheduler, so a
-// Tracer (one per machine) needs no locks; only the process-global
-// collector that gathers tracers for rendering takes a mutex. Like the
-// faults and metrics planes, tracing is activated process-globally and
-// machines pick it up at boot via NewFromActive — a nil *Tracer (and a
-// nil *IOSpan) is inert, so disabled runs execute the same code paths
-// with nil no-ops and stay byte-identical to a build without tracing.
+// Tracer (one per machine) needs no locks; only the Collector that
+// gathers one run's tracers for rendering takes a mutex. A run that
+// traces carries a Collector in its environment (kernel.Env), and each
+// machine it boots registers a tracer there. A nil *Collector hands
+// out nil tracers, and a nil *Tracer (and a nil *IOSpan) is inert, so
+// untraced runs execute the same code paths with nil no-ops and stay
+// byte-identical to a build without tracing.
 package trace
 
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -97,6 +96,7 @@ type Tracer struct {
 	tidNames []string
 	attr     map[string]*Attribution
 	em       map[string]*engineMetrics
+	reg      *metrics.Registry // where io_* series go; nil = nowhere
 
 	// spanFree recycles finished IOSpans: Finish is each span's unique
 	// release point, so StartIO can hand the object to the next op
@@ -104,16 +104,29 @@ type Tracer struct {
 	spanFree []*IOSpan
 }
 
-// NewTracer returns a standalone tracer (not registered with the
-// global collector) — used by harnesses that read attribution
-// directly, e.g. the T6 experiment and fio.Spec.Trace.
+// maxEvents bounds the spans one tracer retains. Overflow is counted
+// as dropped and reported in the rendered trace.
+const maxEvents = 100000
+
+// NewTracer returns a standalone tracer (not registered with any
+// collector) — used by harnesses that read attribution directly, e.g.
+// the T6 experiment and fio.Spec.Trace.
 func NewTracer(label string) *Tracer {
 	return &Tracer{
 		label: label,
-		max:   defaultMaxEvents,
+		max:   maxEvents,
 		tids:  make(map[uint64]int),
 		attr:  make(map[string]*Attribution),
 		em:    make(map[string]*engineMetrics),
+	}
+}
+
+// SetMetrics points the tracer's io_* series at reg (nil: none).
+// Machine.EnableTrace calls it with the machine's registry, so a
+// standalone tracer feeds the run it is attached to.
+func (t *Tracer) SetMetrics(reg *metrics.Registry) {
+	if t != nil {
+		t.reg = reg
 	}
 }
 
@@ -195,13 +208,13 @@ func (t *Tracer) engineMetrics(engine string) *engineMetrics {
 	if ok {
 		return em
 	}
-	if metrics.Active() != nil {
+	if t.reg != nil {
 		em = &engineMetrics{
-			ops: metrics.GetCounter("io_ops_total", "engine", engine),
-			lat: metrics.GetHistogram("io_latency_ns", "engine", engine),
+			ops: t.reg.Counter("io_ops_total", "engine", engine),
+			lat: t.reg.Histogram("io_latency_ns", "engine", engine),
 		}
 		for i, ph := range PhaseNames {
-			em.ns[i] = metrics.GetCounter("io_ns_total", "engine", engine, "phase", ph)
+			em.ns[i] = t.reg.Counter("io_ns_total", "engine", engine, "phase", ph)
 		}
 	}
 	t.em[engine] = em
@@ -364,80 +377,64 @@ func (sp *IOSpan) Finish(now sim.Time) {
 	t.spanFree = append(t.spanFree, sp)
 }
 
-// --- process-global activation and collection -----------------------
+// --- per-run collection ----------------------------------------------
 
-// Options configures the global trace plane.
-type Options struct {
-	// MaxEvents bounds the spans each machine's tracer retains;
-	// <= 0 means the default (100000). Overflow is counted as dropped
-	// and reported in the rendered trace.
-	MaxEvents int
+// Collector gathers the tracers of every machine one run boots, for
+// rendering. Machines boot concurrently under parallel sweeps, so
+// registration takes a lock. A nil *Collector is inert.
+type Collector struct {
+	mu  sync.Mutex
+	all []*Tracer
 }
 
-const defaultMaxEvents = 100000
+// NewCollector returns an empty collector.
+func NewCollector() *Collector { return &Collector{} }
 
-type activeState struct {
-	max int
-}
-
-var (
-	activeOpts atomic.Pointer[activeState]
-
-	collectMu sync.Mutex
-	collected []*Tracer
-)
-
-// Activate arms tracing process-globally: machines booted afterwards
-// register a tracer (NewFromActive) with the collector. Any previously
-// collected tracers are discarded.
-func Activate(o Options) {
-	if o.MaxEvents <= 0 {
-		o.MaxEvents = defaultMaxEvents
-	}
-	collectMu.Lock()
-	collected = nil
-	collectMu.Unlock()
-	activeOpts.Store(&activeState{max: o.MaxEvents})
-}
-
-// Deactivate disarms tracing; machines booted afterwards get a nil
-// (inert) tracer. Already collected tracers remain renderable.
-func Deactivate() { activeOpts.Store(nil) }
-
-// Enabled reports whether tracing is armed.
-func Enabled() bool { return activeOpts.Load() != nil }
-
-// NewFromActive returns a collector-registered tracer when tracing is
-// armed, else nil. Called once per machine at boot.
-func NewFromActive(label string) *Tracer {
-	st := activeOpts.Load()
-	if st == nil {
+// NewTracer returns a tracer registered with c, or nil when c is nil.
+// Called once per machine at boot.
+func (c *Collector) NewTracer(label string) *Tracer {
+	if c == nil {
 		return nil
 	}
 	t := NewTracer(label)
-	t.max = st.max
-	collectMu.Lock()
-	collected = append(collected, t)
-	collectMu.Unlock()
+	c.mu.Lock()
+	c.all = append(c.all, t)
+	c.mu.Unlock()
 	return t
+}
+
+// tracers returns the collected tracers in registration order.
+func (c *Collector) tracers() []*Tracer {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]*Tracer(nil), c.all...)
+}
+
+// Render serializes every collected tracer (see RenderTracers). Must
+// be called after the run completes.
+func (c *Collector) Render() ([]byte, error) { return RenderTracers(c.tracers()) }
+
+// Events sums event and dropped counts across collected tracers
+// (progress reporting).
+func (c *Collector) Events() (events, dropped int64) {
+	for _, t := range c.tracers() {
+		events += int64(len(t.events))
+		dropped += t.dropped
+	}
+	return events, dropped
 }
 
 // --- rendering ------------------------------------------------------
 
-// Render serializes every collected tracer as Chrome trace-event JSON
-// (load via chrome://tracing or Perfetto). Must be called after the
-// run completes. Determinism at any -j: machine boot order varies
-// under parallel sweeps, so each tracer renders to a pid-independent
-// canonical form, tracers are sorted by (label, content), and pids are
-// assigned after the sort — the bytes cannot depend on boot order.
-func Render() ([]byte, error) {
-	collectMu.Lock()
-	trs := append([]*Tracer(nil), collected...)
-	collectMu.Unlock()
-	return RenderTracers(trs)
-}
-
-// RenderTracers serializes the given tracers (see Render).
+// RenderTracers serializes tracers as Chrome trace-event JSON (load
+// via chrome://tracing or Perfetto). Determinism at any -j: machine
+// boot order varies under parallel sweeps, so each tracer renders to a
+// pid-independent canonical form, tracers are sorted by (label,
+// content), and pids are assigned after the sort — the bytes cannot
+// depend on boot order.
 func RenderTracers(trs []*Tracer) ([]byte, error) {
 	sorted := append([]*Tracer(nil), trs...)
 	sort.Slice(sorted, func(i, j int) bool { return cmpTracer(sorted[i], sorted[j]) < 0 })
@@ -552,27 +549,6 @@ func int64Cmp(a, b int64) int {
 		return 1
 	}
 	return 0
-}
-
-// WriteFile renders the collected trace to path.
-func WriteFile(path string) error {
-	out, err := Render()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, out, 0o644)
-}
-
-// CollectedEvents sums event and dropped counts across collected
-// tracers (progress reporting).
-func CollectedEvents() (events, dropped int64) {
-	collectMu.Lock()
-	defer collectMu.Unlock()
-	for _, t := range collected {
-		events += int64(len(t.events))
-		dropped += t.dropped
-	}
-	return events, dropped
 }
 
 // jsonString escapes s as a JSON string literal (ASCII subset of what

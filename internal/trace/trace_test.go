@@ -170,30 +170,37 @@ func TestRenderOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestActivateCollectsAndResets(t *testing.T) {
-	Activate(Options{MaxEvents: 5})
-	defer Deactivate()
-	if !Enabled() {
-		t.Fatal("not enabled after Activate")
+func TestCollectorCollects(t *testing.T) {
+	var off *Collector
+	if off.NewTracer("x") != nil {
+		t.Fatal("nil collector must hand out nil tracers")
 	}
-	tr := NewFromActive("mach")
-	if tr == nil || tr.max != 5 {
-		t.Fatalf("NewFromActive = %+v", tr)
+	if ev, dr := off.Events(); ev != 0 || dr != 0 {
+		t.Fatal("nil collector reported events")
 	}
+	c := NewCollector()
+	tr := c.NewTracer("mach")
+	if tr == nil || tr.max != maxEvents || tr.Label() != "mach" {
+		t.Fatalf("NewTracer = %+v", tr)
+	}
+	tr.max = 1
 	s := sim.New()
-	s.Spawn("app", func(p *sim.Proc) { tr.Emit(p, "e", "c", 0, 1) })
+	s.Spawn("app", func(p *sim.Proc) {
+		tr.Emit(p, "e", "c", 0, 1)
+		tr.Emit(p, "f", "c", 1, 1)
+	})
 	s.Run()
-	if ev, _ := CollectedEvents(); ev != 1 {
-		t.Fatalf("collected = %d, want 1", ev)
+	if ev, dr := c.Events(); ev != 1 || dr != 1 {
+		t.Fatalf("collected = %d (%d dropped), want 1 (1)", ev, dr)
 	}
-	// Re-activation discards previously collected tracers.
-	Activate(Options{})
-	if ev, _ := CollectedEvents(); ev != 0 {
-		t.Fatalf("collected after re-activate = %d, want 0", ev)
+	// A second collector is a separate run: it sees none of the first's
+	// tracers.
+	if ev, _ := NewCollector().Events(); ev != 0 {
+		t.Fatalf("fresh collector has %d events", ev)
 	}
-	Deactivate()
-	if NewFromActive("x") != nil {
-		t.Fatal("NewFromActive must be nil when disarmed")
+	out, err := c.Render()
+	if err != nil || !strings.Contains(string(out), `"name":"e"`) {
+		t.Fatalf("render = %s, %v", out, err)
 	}
 }
 

@@ -129,8 +129,9 @@ type Lib struct {
 	Refmaps     int64 // fmap() retries after faults
 	Stats       Stats // fault-path event counters
 
-	// Metrics handles mirroring the counters above (nil-inert when no
-	// registry is active); kept in lockstep by the count* helpers.
+	// Metrics handles mirroring the counters above, resolved on the
+	// machine's registry (nil-inert without one); kept in lockstep by
+	// the count* helpers.
 	mDirect, mKernel   *metrics.Counter
 	mRefmaps, mRetries *metrics.Counter
 	mDegrades          *metrics.Counter
@@ -160,16 +161,17 @@ func New(pr *kernel.Process, cfg Config) *Lib {
 	if cfg.MaxBackoff <= 0 {
 		cfg.MaxBackoff = defaultMaxBackoff
 	}
+	reg := pr.M.Metrics
 	return &Lib{
 		Proc:      pr,
 		cfg:       cfg,
 		files:     make(map[int]*FileState),
-		mDirect:   metrics.GetCounter("userlib_ops_total", "path", "direct"),
-		mKernel:   metrics.GetCounter("userlib_ops_total", "path", "kernel"),
-		mRefmaps:  metrics.GetCounter("userlib_refmaps_total"),
-		mRetries:  metrics.GetCounter("userlib_retries_total"),
-		mDegrades: metrics.GetCounter("userlib_degrades_total"),
-		mInjected: metrics.GetCounter("userlib_injected_faults_total"),
+		mDirect:   reg.Counter("userlib_ops_total", "path", "direct"),
+		mKernel:   reg.Counter("userlib_ops_total", "path", "kernel"),
+		mRefmaps:  reg.Counter("userlib_refmaps_total"),
+		mRetries:  reg.Counter("userlib_retries_total"),
+		mDegrades: reg.Counter("userlib_degrades_total"),
+		mInjected: reg.Counter("userlib_injected_faults_total"),
 	}
 }
 
