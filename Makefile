@@ -67,12 +67,26 @@ bench-check:
 
 # parallel-equivalence is the tentpole determinism gate under the race
 # detector: 20-seed randomized per-shard stream equivalence at workers
-# {2,4,8}, plus the T7/T8/T9 report and full-metrics invariance across
-# worker counts. Any data race in the epoch engine or any cross-worker
-# divergence fails this target.
+# {1,2,4,8} against the coupled scheduler, the armed rerun and
+# cross-shard panic checks, the T7-T10 report and full-metrics
+# invariance across worker counts, and the faulted two-device tenant
+# and fleet runs. Any data race between shard drains or any
+# cross-worker divergence fails this target. Entries are pkg:pattern
+# pairs, and a pattern that matches no test fails the target too:
+# `go test -run` with no match prints "no tests to run" and exits 0,
+# so a renamed test would otherwise pass the gate vacuously.
+PAR_EQ_TESTS := ./internal/sim:ParallelEquivalence ./internal/sim:ArmedSequential \
+	./internal/sim:ArmedCrossShard ./internal/experiments:WorkerInvariant \
+	./internal/tenants:FaultedScaleOut ./internal/frontend:FaultedFleet
+
 parallel-equivalence:
-	$(GO) test -race -count=1 -run 'ParallelEquivalence|EpochSequential|EpochLookahead' ./internal/sim
-	$(GO) test -race -count=1 -run 'WorkerInvariant' ./internal/experiments
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	for t in $(PAR_EQ_TESTS); do \
+		pkg=$${t%%:*}; pat=$${t##*:}; \
+		echo "== $$pkg -run '$$pat'"; \
+		$(GO) test -race -count=1 -v -run "$$pat" $$pkg > $$tmp/out.txt || { cat $$tmp/out.txt; exit 1; }; \
+		grep -e '--- PASS' $$tmp/out.txt || { echo "parallel-equivalence: -run '$$pat' matched no test in $$pkg"; exit 1; }; \
+	done
 
 # profile writes host CPU and allocation profiles of the Fig. 6
 # harness (the heaviest sweep) for `go tool pprof`. Separate runs:

@@ -213,11 +213,11 @@ func BenchmarkFrontendThroughput(b *testing.B) {
 // device's event stream on its own shard merged by the canonical
 // (at, shard, seq) key. The /w1 and /w4 sub-benchmarks run the same
 // scenario's traffic phase on one and four host workers of the
-// conservative epoch engine; their results are byte-identical (the
-// worker-invariance tests pin this), so the pair isolates the
-// parallel speedup. On a multi-core host w4 is the headline number;
-// the w4/w1 ratio is gated by cmd/benchjson when the host has the
-// cores to express it.
+// parallel engine, which drains each device's shard to idle on its
+// worker; their results are byte-identical (the worker-invariance
+// tests pin this), so the pair isolates the parallel speedup. On a
+// multi-core host w4 is the headline number; the w4/w1 ratio is gated
+// by cmd/benchjson when the host has the cores to express it.
 func BenchmarkSimThroughputSharded(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		workers := workers

@@ -5,7 +5,7 @@
 //	bypassd-bench -run F6,F9      # selected experiments
 //	bypassd-bench -trials 5       # 5 seeded trials per cell: mean ± 95% CI columns
 //	bypassd-bench -j 8            # run experiments and sweep cells in parallel
-//	bypassd-bench -workers 4      # host cores per multi-SSD cell (epoch engine)
+//	bypassd-bench -workers 4      # host cores per multi-SSD cell (parallel shard drains)
 //	bypassd-bench -list           # show the experiment index
 //	bypassd-bench -o results.md   # also write a markdown report
 //	bypassd-bench -json run.json  # machine-readable per-experiment results
@@ -141,7 +141,7 @@ func run() int {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		trials   = flag.Int("trials", 1, "independent seeded trials per sweep cell; >1 adds mean±95% CI and spread columns")
 		parallel = flag.Int("j", 1, "worker count for experiments and sweep cells; 0 = GOMAXPROCS")
-		shardW   = flag.Int("workers", 1, "host goroutines per multi-SSD scenario's event shards (conservative epoch engine; results are byte-identical at any value)")
+		shardW   = flag.Int("workers", 1, "host goroutines per multi-SSD scenario's event shards (each device's shard drains to idle on one; results are byte-identical at any value)")
 		out      = flag.String("o", "", "also write the combined report to this file")
 		jsonOut  = flag.String("json", "", "write machine-readable results to this file")
 		faultsP  = flag.String("faults", "", "fault-injection profile name (see -list); empty = disabled")

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fio"
+	"repro/internal/iommu"
 	"repro/internal/sim"
 )
 
@@ -40,7 +41,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	res, err := fio.Run(fio.Spec{VBAFixedLatency: sim.Time(*delay), Seed: *seed}, []fio.Group{{
+	spec := fio.Spec{
+		IOMMU: func(c *iommu.Config) { c.FixedVBALatency = sim.Time(*delay) },
+		Seed:  *seed,
+	}
+	res, err := fio.Run(spec, []fio.Group{{
 		Name:             "job",
 		Engine:           core.Engine(*engine),
 		Write:            write,

@@ -12,17 +12,17 @@ import (
 // into and the host workers its traffic phase may use.
 type RunOptions struct {
 	Env kernel.Env
-	// Workers is the number of host goroutines that execute a
+	// Workers is the number of host goroutines that drain a
 	// multi-device machine's event shards during the traffic phase
-	// (the conservative epoch engine; DESIGN.md §15). Results are
-	// identical at any value; <= 1 runs the epoch schedule on one
-	// goroutine. Single-device runs ignore it.
+	// (the parallel engine; DESIGN.md §15). Results are identical at
+	// any value; <= 1 drains the shards one by one on one goroutine.
+	// Single-device runs ignore it.
 	Workers int
 }
 
 // Phased is a run in two phases on one freshly booted machine: a
 // coupled setup proc that builds state and spawns the traffic procs,
-// then the traffic phase under the epoch engine. The traffic tiers
+// then the traffic phase under the parallel engine. The traffic tiers
 // (tenants, frontend) are Phased runs; each supplies only its setup
 // and its result collection.
 type Phased struct {
@@ -31,9 +31,11 @@ type Phased struct {
 	Devices  int
 	Arbiter  string // device.ArbiterByName policy on every device
 	// Setup runs coupled on the setup proc. It must leave every
-	// traffic proc on its device's event shard: the epoch engine arms
-	// when Setup returns nil, and its barrier merge enforces that
-	// device affinity. An error ends the run before traffic arms.
+	// traffic proc on its device's event shard: the parallel engine
+	// arms when Setup returns nil and drains each shard on its own; a
+	// traffic event that reaches another shard trips Run's post-drain
+	// panic or, at several workers, the race detector. An error ends
+	// the run before traffic arms.
 	Setup func(p *sim.Proc, r *PhasedRun) error
 	// Finish, if set, reads results off the drained machine before it
 	// closes. It runs only when the run succeeded.
@@ -60,7 +62,7 @@ func (r *PhasedRun) Fail(err error) {
 }
 
 // RunPhased boots ph's machine into o.Env, runs Setup coupled, arms the
-// epoch engine for the traffic phase, runs the simulation dry, and
+// parallel engine for the traffic phase, runs the simulation dry, and
 // reports the simulator events dispatched. On a multi-device machine
 // the engine arms even at one worker, so a run's results are one
 // schedule at every worker count; a single-device machine never arms

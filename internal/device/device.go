@@ -440,8 +440,8 @@ func (d *SSD) scheduleWake(t sim.Time) {
 }
 
 // now is the device's local virtual time: its shard's clock. Under
-// the coupled scheduler this equals the global clock; in a parallel
-// epoch it is the correct per-device time.
+// the coupled scheduler this equals the global clock; while the
+// parallel engine is armed it is the correct per-device time.
 func (d *SSD) now() sim.Time { return d.sim.ShardNow(d.cfg.Shard) }
 
 // dispatch is the device's command-fetch engine: admit one command at

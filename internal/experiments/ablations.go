@@ -5,6 +5,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/ext4"
 	"repro/internal/fio"
+	"repro/internal/iommu"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -30,7 +31,8 @@ func runA1(o Options) (*Report, error) {
 	points, err := sweepMap(o, len(variants), func(i int) (point, error) {
 		// A 1 MiB working set fits the 256-entry IOTLB, giving the
 		// caching variant its best case.
-		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, CacheFTEs: variants[i], Seed: o.Seed}, []fio.Group{{
+		caching := variants[i]
+		res, err := fio.Run(fio.Spec{Env: o.Env, IOMMU: func(c *iommu.Config) { c.CacheFTEs = caching }, Seed: o.Seed}, []fio.Group{{
 			Name: "m", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 1 << 20,
 		}})
@@ -60,13 +62,12 @@ func runA1(o Options) (*Report, error) {
 		label string
 		spec  fio.Spec
 	}{
-		{"disabled", fio.Spec{VBAFixedLatency: -1, PWCEntries: -1}},
-		{"32 entries, hits priced as full walks (default)", fio.Spec{VBAFixedLatency: -1}},
-		{"32 entries, 61ns hit walk / 430ns floor", fio.Spec{
-			VBAFixedLatency:   -1,
-			PWCHitWalkLatency: 61 * sim.Nanosecond,
-			PWCMinTranslation: 430 * sim.Nanosecond,
-		}},
+		{"disabled", fio.Spec{IOMMU: func(c *iommu.Config) { c.PWCEntries = 0 }}},
+		{"32 entries, hits priced as full walks (default)", fio.Spec{}},
+		{"32 entries, 61ns hit walk / 430ns floor", fio.Spec{IOMMU: func(c *iommu.Config) {
+			c.PWCHitWalkLatency = 61 * sim.Nanosecond
+			c.PWCMinTranslation = 430 * sim.Nanosecond
+		}}},
 	}
 	pwcPoints, err := sweepMap(o, len(pwcSpecs), func(i int) (point, error) {
 		spec := pwcSpecs[i].spec

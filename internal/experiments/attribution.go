@@ -42,7 +42,7 @@ func runT6(o Options) (*Report, error) {
 		if c.engine == "" {
 			return runT6XRP(o, ops)
 		}
-		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: o.Seed, Trace: true}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, Seed: o.Seed, Trace: true}, []fio.Group{{
 			Name: "m", Engine: c.engine, BS: 4096, Threads: 1,
 			OpsPerThread: ops, FileBytes: 64 << 20,
 		}})

@@ -56,11 +56,12 @@ type Options struct {
 	Trials int
 	// Workers sets how many host goroutines execute the event shards
 	// of each multi-device scenario's traffic phase (the simulator's
-	// conservative epoch engine; DESIGN.md §15). It is orthogonal to
-	// Parallelism: Parallelism runs whole sweep cells concurrently,
-	// Workers parallelizes the inside of one multi-device cell.
-	// Results are byte-identical at any value; <= 1 runs the epoch
-	// schedule on one goroutine. Single-device cells ignore it.
+	// parallel engine, which drains each shard to idle on one worker;
+	// DESIGN.md §15). It is orthogonal to Parallelism: Parallelism
+	// runs whole sweep cells concurrently, Workers parallelizes the
+	// inside of one multi-device cell. Results are byte-identical at
+	// any value; <= 1 drains the shards one by one on one goroutine.
+	// Single-device cells ignore it.
 	Workers int
 }
 

@@ -66,7 +66,7 @@ func runF6(o Options) (*Report, error) {
 	}
 	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
 		c := cells[i]
-		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, Seed: seed}, []fio.Group{{
 			Name: "m", Engine: c.eng, Write: c.write, BS: c.bs, Threads: 1,
 			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
 		}})
@@ -145,7 +145,7 @@ func runF7(o Options) (*Report, error) {
 	type split struct{ user, kern, dev, total sim.Time }
 	splits, err := sweepMap(o, len(cells), func(i int) (split, error) {
 		c := cells[i]
-		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: o.Seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, Seed: o.Seed}, []fio.Group{{
 			Name: "m", Engine: c.eng, BS: c.bs, Threads: 1,
 			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
 		}})
@@ -202,12 +202,13 @@ func runF8(o Options) (*Report, error) {
 			Name: "m", Engine: core.EngineBypassD, BS: c.bs, Threads: 1,
 			OpsPerThread: microOps(o.Quick), FileBytes: 64 << 20,
 		}
-		delay := c.delay
+		spec := fio.Spec{Env: o.Env, Seed: o.Seed}
 		if c.delay < 0 { // sync reference
 			g.Engine = core.EngineSync
-			delay = -1
+		} else {
+			spec.IOMMU = func(cfg *iommu.Config) { cfg.FixedVBALatency = c.delay }
 		}
-		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: delay, Seed: o.Seed}, []fio.Group{g})
+		res, err := fio.Run(spec, []fio.Group{g})
 		if err != nil {
 			return 0, err
 		}
@@ -260,7 +261,7 @@ func runF9(o Options) (*Report, error) {
 	}
 	points, err := trialMap(o, len(cells), func(i int, seed int64) (point, error) {
 		c := cells[i]
-		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, Seed: seed}, []fio.Group{{
 			Name: "m", Engine: c.eng, BS: 4096, Threads: c.n,
 			OpsPerThread: ops, FileBytes: 16 << 20,
 		}})

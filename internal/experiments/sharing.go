@@ -40,7 +40,7 @@ func runF10(o Options) (*Report, error) {
 	}
 	points, err := sweepMap(o, len(cells), func(i int) (point, error) {
 		c := cells[i]
-		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: o.Seed}, []fio.Group{{
+		res, err := fio.Run(fio.Spec{Env: o.Env, Seed: o.Seed}, []fio.Group{{
 			Name: "w", Engine: c.eng, Write: true, BS: 4096, Threads: c.n,
 			OpsPerThread: ops, FileBytes: 16 << 20, ProcessPerThread: true,
 		}})
@@ -97,7 +97,7 @@ func runF11(o Options) (*Report, error) {
 				OpsPerThread: 0, FileBytes: 16 << 20, ProcessPerThread: true,
 			})
 		}
-		res, err := fio.Run(fio.Spec{Env: o.Env, VBAFixedLatency: -1, Seed: o.Seed}, groups)
+		res, err := fio.Run(fio.Spec{Env: o.Env, Seed: o.Seed}, groups)
 		if err != nil {
 			return 0, err
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // runWorkers renders an experiment's tables at a given shard-worker
-// count (Options.Workers — the epoch engine inside each multi-device
-// cell, not the sweep-cell pool).
+// count (Options.Workers — the parallel shard drains inside each
+// multi-device cell, not the sweep-cell pool).
 func runWorkers(t *testing.T, id string, workers int) string {
 	t.Helper()
 	exp, ok := ByID(id)
@@ -33,7 +33,7 @@ func runWorkers(t *testing.T, id string, workers int) string {
 // TestReportsWorkerInvariant is the tentpole acceptance gate at the
 // table layer: the tenancy and frontend reports must render
 // byte-identically at every worker count. T9's and T10's multi-device
-// cells actually exercise the epoch engine; T7/T8 are single-device
+// cells actually exercise the parallel engine; T7/T8 are single-device
 // and must ignore the knob.
 func TestReportsWorkerInvariant(t *testing.T) {
 	for _, id := range []string{"T7", "T8", "T9", "T10"} {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/iommu"
 	"repro/internal/sim"
 )
 
@@ -16,7 +17,7 @@ func TestSingleThread4KReadLatencies(t *testing.T) {
 		core.EngineBypassD: {4800, 5600},
 	}
 	for e, bounds := range want {
-		res, err := Run(Spec{VBAFixedLatency: -1}, []Group{{
+		res, err := Run(Spec{}, []Group{{
 			Name: "main", Engine: e, BS: 4096, Threads: 1,
 			OpsPerThread: 50, FileBytes: 16 << 20,
 		}})
@@ -32,7 +33,7 @@ func TestSingleThread4KReadLatencies(t *testing.T) {
 
 func TestWritesSeeNoTranslationOverhead(t *testing.T) {
 	run := func(e core.Engine) sim.Time {
-		res, err := Run(Spec{VBAFixedLatency: -1}, []Group{{
+		res, err := Run(Spec{}, []Group{{
 			Name: "w", Engine: e, Write: true, BS: 4096, Threads: 1,
 			OpsPerThread: 50, FileBytes: 16 << 20,
 		}})
@@ -54,7 +55,7 @@ func TestWritesSeeNoTranslationOverhead(t *testing.T) {
 func TestThroughputScalesUntilSaturation(t *testing.T) {
 	iops := map[int]float64{}
 	for _, threads := range []int{1, 8} {
-		res, err := Run(Spec{VBAFixedLatency: -1}, []Group{{
+		res, err := Run(Spec{}, []Group{{
 			Name: "r", Engine: core.EngineBypassD, BS: 4096, Threads: threads,
 			OpsPerThread: 200, FileBytes: 8 << 20,
 		}})
@@ -74,7 +75,7 @@ func TestThroughputScalesUntilSaturation(t *testing.T) {
 
 func TestVBAFixedLatencySweep(t *testing.T) {
 	bw := func(delay sim.Time) float64 {
-		res, err := Run(Spec{VBAFixedLatency: delay}, []Group{{
+		res, err := Run(Spec{IOMMU: func(c *iommu.Config) { c.FixedVBALatency = delay }}, []Group{{
 			Name: "r", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: 100, FileBytes: 16 << 20,
 		}})
@@ -88,7 +89,7 @@ func TestVBAFixedLatencySweep(t *testing.T) {
 		t.Fatalf("bandwidth should drop with translation latency: %0.f vs %0.f", noDelay, slow)
 	}
 	// Even at 1.35µs translation, bypassd beats sync (Fig. 8).
-	resSync, err := Run(Spec{VBAFixedLatency: -1}, []Group{{
+	resSync, err := Run(Spec{}, []Group{{
 		Name: "r", Engine: core.EngineSync, BS: 4096, Threads: 1,
 		OpsPerThread: 100, FileBytes: 16 << 20,
 	}})
@@ -103,7 +104,7 @@ func TestVBAFixedLatencySweep(t *testing.T) {
 func TestMultiProcessSharing(t *testing.T) {
 	// Fig. 10: multiple writer processes share the device with
 	// bypassd; spdk refuses.
-	res, err := Run(Spec{VBAFixedLatency: -1}, []Group{{
+	res, err := Run(Spec{}, []Group{{
 		Name: "w", Engine: core.EngineBypassD, Write: true, BS: 4096,
 		Threads: 4, OpsPerThread: 100, FileBytes: 8 << 20, ProcessPerThread: true,
 	}})
@@ -113,7 +114,7 @@ func TestMultiProcessSharing(t *testing.T) {
 	if res["w"].Ops != 400 {
 		t.Fatalf("ops = %d, want 400", res["w"].Ops)
 	}
-	_, err = Run(Spec{VBAFixedLatency: -1}, []Group{{
+	_, err = Run(Spec{}, []Group{{
 		Name: "w", Engine: core.EngineSPDK, Write: true, BS: 4096,
 		Threads: 4, OpsPerThread: 100, FileBytes: 8 << 20, ProcessPerThread: true,
 	}})
@@ -123,7 +124,7 @@ func TestMultiProcessSharing(t *testing.T) {
 }
 
 func TestBackgroundGroupStopsWithForeground(t *testing.T) {
-	res, err := Run(Spec{VBAFixedLatency: -1}, []Group{
+	res, err := Run(Spec{}, []Group{
 		{
 			Name: "fg", Engine: core.EngineBypassD, BS: 4096, Threads: 1,
 			OpsPerThread: 100, FileBytes: 8 << 20,
@@ -149,7 +150,7 @@ func TestBackgroundGroupStopsWithForeground(t *testing.T) {
 }
 
 func TestBreakdownStatsPresentForBypassD(t *testing.T) {
-	res, err := Run(Spec{VBAFixedLatency: -1}, []Group{{
+	res, err := Run(Spec{}, []Group{{
 		Name: "r", Engine: core.EngineBypassD, BS: 65536, Threads: 1,
 		OpsPerThread: 20, FileBytes: 16 << 20,
 	}})

@@ -22,7 +22,7 @@
 // every random draw comes from a per-device rand.Source seeded from
 // the fleet seed and the device index, consumed only by that device's
 // generator. A fixed seed replays every arrival, shed decision, and
-// completion instant exactly, at any host parallelism and any epoch
+// completion instant exactly, at any host parallelism and any shard
 // worker count.
 package frontend
 

@@ -2,6 +2,7 @@ package frontend
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -97,7 +98,7 @@ func render(t *testing.T, seed int64, fl Fleet, workers int) string {
 }
 
 // TestWorkerInvariance is the tentpole determinism gate: a
-// multi-device fleet must render byte-identically at every epoch
+// multi-device fleet must render byte-identically at every host
 // worker count, for each admission policy (they exercise different
 // event interleavings: door sheds, dequeue drops, condition waits).
 func TestWorkerInvariance(t *testing.T) {
@@ -265,6 +266,34 @@ func TestTenantStorm(t *testing.T) {
 	// figure — graceful means the served tail stays mostly protected.
 	if c := res.SLOCompliance(); c < 80 {
 		t.Fatalf("storm compliance %.1f%% among admitted: shedding did not protect the served tail", c)
+	}
+}
+
+// TestFaultedFleetWorkerInvariant: a two-device fleet under the chaos
+// profile is a faulted run on the parallel engine. Its report, event
+// count and injected faults must be identical across reruns and at 1
+// and 4 host workers.
+func TestFaultedFleetWorkerInvariant(t *testing.T) {
+	fl := testFleet(AdmitCoDel, 2)
+	render := func(workers int) string {
+		plan, err := faults.NewPlan("chaos", 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, events, err := Run(42, fl, core.RunOptions{Env: kernel.Env{Faults: plan}, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Total() == 0 {
+			t.Fatal("chaos injected nothing")
+		}
+		return fmt.Sprintf("%s\nevents %d\nfaults %v", ReportTable(fl, res), events, plan.Counts())
+	}
+	ref := render(1)
+	for _, w := range []int{1, 4} {
+		if got := render(w); got != ref {
+			t.Fatalf("workers=%d differs from the first workers=1 run:\n%s\nvs\n%s", w, got, ref)
+		}
 	}
 }
 

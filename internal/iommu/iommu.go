@@ -240,25 +240,12 @@ func (u *IOMMU) countDenial()  { u.denials++; u.mDenials.Inc() }
 // Config returns the active configuration.
 func (u *IOMMU) Config() Config { return u.cfg }
 
-// SetFixedVBALatency adjusts the Fig. 8 override at runtime.
-func (u *IOMMU) SetFixedVBALatency(d sim.Time) { u.cfg.FixedVBALatency = d }
-
-// SetCacheFTEs toggles FTE caching in the IOTLB (ablation; paper
-// §4.3 argues it is unnecessary).
-func (u *IOMMU) SetCacheFTEs(on bool) { u.cfg.CacheFTEs = on }
-
-// SetPWCConfig adjusts the paging-structure-cache model at runtime
-// (the Fig. 8-style sensitivity sweeps). entries <= 0 disables the
-// cache; hitWalk and minTranslation follow the Config sentinel rule
-// (negative = same as WalkLatency / MinTranslation). Cached paths are
-// dropped so a sweep cell starts cold.
-func (u *IOMMU) SetPWCConfig(entries int, hitWalk, minTranslation sim.Time) {
-	u.cfg.PWCEntries = entries
-	u.cfg.PWCHitWalkLatency = hitWalk
-	u.cfg.PWCMinTranslation = minTranslation
-	for p := range u.pwc {
-		delete(u.pwc, p)
-	}
+// SetConfig replaces the configuration at runtime (the Fig. 8 delay
+// sweep and the A1 caching ablations). Cached paging-structure paths
+// are dropped so the new PWC model starts cold.
+func (u *IOMMU) SetConfig(cfg Config) {
+	u.cfg = cfg
+	clear(u.pwc)
 }
 
 // SetEnv attaches the machine's fault plane and resolves the IOMMU's

@@ -377,7 +377,8 @@ func TestFixedVBALatencyOverride(t *testing.T) {
 	if r.Latency != 1350*sim.Nanosecond {
 		t.Fatalf("latency = %v, want fixed 1350ns", r.Latency)
 	}
-	u.SetFixedVBALatency(0)
+	cfg.FixedVBALatency = 0
+	u.SetConfig(cfg)
 	r = u.Translate(Request{PASID: 1, DevID: testDev, VBA: base, Bytes: 4096})
 	if r.Latency != 0 {
 		t.Fatalf("latency = %v, want 0 (no-delay point)", r.Latency)

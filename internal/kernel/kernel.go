@@ -174,14 +174,6 @@ type Machine struct {
 	nextPID   int
 	nextPASID uint32
 
-	// lookahead is the machine's provable epoch-window floor: the
-	// smallest configured latency any kernel- or IOMMU-mediated
-	// cross-shard interaction must pay. Derived and asserted positive
-	// at multi-node boot; ArmParallel widens the actual window for
-	// shard-confined traffic phases (the barrier causality check
-	// enforces soundness either way).
-	lookahead sim.Time
-
 	// mu guards the machine-global control-plane maps below. The hot
 	// data path never takes it; it exists for the short control-plane
 	// window at the start of an armed traffic phase (per-tenant
@@ -311,9 +303,9 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 		}
 		// Boot-time mount goes through the untimed path; runtime I/O
 		// then flows through the timed kernel BlockIO. The file
-		// system's clock is the node's shard clock: in a parallel
-		// epoch a shard legitimately runs ahead of the global clock,
-		// and mtimes must follow the I/O that dirtied them.
+		// system's clock is the node's shard clock: while armed a
+		// shard legitimately runs ahead of the global clock, and
+		// mtimes must follow the I/O that dirtied them.
 		fs, err := ext4.Mount(nil, &ext4.Direct{St: st}, dcfg.DevID, s.ShardClock(dcfg.Shard))
 		if err != nil {
 			return nil, err
@@ -339,12 +331,6 @@ func NewMachineN(s *sim.Sim, cfg Config, dcfgs []device.Config, sts []*storage.S
 	// The CPU pool sizes one lane per event shard, so it must be
 	// created after the device loop added every shard.
 	m.CPU = s.NewCPUSet(cfg.Cores)
-	if len(m.Nodes) > 1 {
-		m.lookahead = m.lookaheadFloor()
-		if m.lookahead <= 0 {
-			return nil, fmt.Errorf("kernel: multi-node boot with a non-positive lookahead floor %d — every cross-shard interaction cost must be positive", m.lookahead)
-		}
-	}
 	m.mBlockRetries = m.Metrics.Counter("kernel_block_retries_total")
 	if tr := cfg.Env.Trace.NewTracer(dcfgs[0].Name); tr != nil {
 		m.EnableTrace(tr)
@@ -391,50 +377,14 @@ func (m *Machine) writeLock(in *ext4.Inode) *sim.Resource {
 	return l
 }
 
-// lookaheadFloor derives the provable epoch-window bound from the
-// machine's cost model: the cheapest configured step any cross-shard
-// interaction must pay before an event it causes can land on another
-// shard. Kernel-mediated paths pay at least a mode switch or a block-
-// layer step; device-mediated paths pay at least a PCIe round trip or
-// the translation floor. The minimum positive of these bounds how far
-// one shard may run ahead while coupled semantics are preserved.
-func (m *Machine) lookaheadFloor() sim.Time {
-	floor := sim.Time(0)
-	consider := func(d sim.Time) {
-		if d > 0 && (floor == 0 || d < floor) {
-			floor = d
-		}
-	}
-	consider(m.Cfg.SyscallEnter)
-	consider(m.Cfg.BlockLayer)
-	consider(m.Cfg.DriverSubmit)
-	for _, n := range m.Nodes {
-		icfg := n.MMU.Config()
-		consider(icfg.PCIeRoundTrip)
-		consider(icfg.MinTranslation)
-	}
-	return floor
-}
-
-// LookaheadFloor reports the machine's derived epoch-window floor
-// (0 on a single-node machine, where the epoch engine never runs).
-func (m *Machine) LookaheadFloor() sim.Time { return m.lookahead }
-
-// ParallelWindow is the epoch width ArmParallel uses. It is far wider
-// than the provable floor: an armed phase promises device-affine
-// traffic (each tenant's generator, workers, queues, and device share
-// one shard), so epochs exist only to amortize barriers, and the
-// merge's causality check turns any broken promise into a hard panic
-// instead of silent reordering.
-const ParallelWindow = 50 * sim.Microsecond
-
-// ArmParallel arms the simulator's conservative epoch engine for a
-// shard-confined traffic phase and returns the worker count actually
-// granted. On a single-node machine it is a no-op (returns 1). The
-// request is degraded to one worker — epochs still run, so results
-// stay invariant across worker counts — when a machine-wide observer
-// that the parallel path cannot serve race-free is attached: an armed
-// fault profile (shared rule state and PRNG) or a span tracer.
+// ArmParallel arms the simulator's parallel engine for a shard-confined
+// traffic phase and returns the worker count actually granted: every
+// node's shard then drains to idle on a host worker. On a single-node
+// machine it is a no-op (returns 1). The request is degraded to one
+// worker — the shards still drain one by one, so results stay
+// invariant across worker counts — when a machine-wide observer that
+// the parallel path cannot serve race-free is attached: an armed fault
+// profile (shared rule state and PRNG) or a span tracer.
 func (m *Machine) ArmParallel(workers int) int {
 	if len(m.Nodes) < 2 {
 		return 1
@@ -445,27 +395,19 @@ func (m *Machine) ArmParallel(workers int) int {
 	if m.Faults.Active() || m.Trace != nil {
 		workers = 1
 	}
-	m.Sim.SetWorkers(workers)
-	w := ParallelWindow
-	if w < m.lookahead {
-		w = m.lookahead
-	}
-	m.Sim.SetLookahead(w)
+	m.Sim.SetParallel(workers)
 	return workers
 }
 
 // DisarmParallel returns the simulator to coupled dispatch.
-func (m *Machine) DisarmParallel() {
-	m.Sim.SetLookahead(0)
-	m.Sim.SetWorkers(1)
-}
+func (m *Machine) DisarmParallel() { m.Sim.SetParallel(0) }
 
 // invalidateRange drops pasid's cached translations for [va, va+bytes)
 // on every IOMMU that may hold them. Coupled phases fan out to all
 // nodes (a PASID is registered machine-wide, and a queue on any node
 // may have translated for it — the Fig. 3 denial path walks, and a
-// real kernel must shoot down every agent). While the epoch engine is
-// armed, traffic is device-affine by contract, so only the owning
+// real kernel must shoot down every agent). While the parallel engine
+// is armed, traffic is device-affine by contract, so only the owning
 // node's agent can hold entries and the shoot-down stays shard-local.
 func (m *Machine) invalidateRange(owner *DevNode, pasid uint32, va uint64, bytes int64) {
 	if m.Sim.ParallelArmed() {

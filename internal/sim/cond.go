@@ -21,11 +21,11 @@ func (c *Cond) Wait(p *Proc) {
 // wakeTime is the virtual instant a wakeup for p fires at: p's shard
 // clock or the global clock, whichever is ahead. Under the coupled
 // scheduler the global clock is always ahead, reproducing the
-// historical "wake at now" exactly; under the epoch engine the shard
-// clock is the correct local time for a shard-local signal. Signaling
-// a cond whose waiters live on another shard from inside an epoch run
-// is out of contract (the signaler would race the waiter's shard) —
-// the race detector and the equivalence gate catch violations.
+// historical "wake at now" exactly; while armed the shard clock is the
+// correct local time for a shard-local signal. Signaling a cond whose
+// waiters live on another shard while armed is out of contract: Run
+// panics if the waiter's shard had already drained, and the race
+// detector reports a signaler racing a shard still draining.
 func (c *Cond) wakeTime(p *Proc) Time {
 	at := c.sim.now
 	if sn := c.sim.shards[p.shard].now; sn > at {

@@ -1,207 +1,72 @@
 package sim
 
-// Conservative parallel shard execution (DESIGN.md §15).
+// Parallel shard drains (DESIGN.md §15).
 //
-// When armed (SetLookahead > 0 with more than one shard), Run drives
-// the simulation in epochs instead of one global pop at a time. Each
-// epoch:
+// When armed (SetParallel with more than one shard), Run hands shard i
+// to host worker i%w, and each worker drains its shards one after
+// another until they are idle. There are no epochs, horizons or
+// barriers: armed traffic is shard-confined by contract — every post an
+// armed event makes targets its own shard — so a shard's event stream is
+// a function of its own queue alone. That stream is the same at any
+// worker count, under any host interleaving, and it is the stream the
+// coupled scheduler produces by popping the global (at, shard, seq)
+// minimum. The equivalence property test pins all three under the race
+// detector.
 //
-//  1. The epoch floor is the minimum next-event time across shards;
-//     the horizon is floor + lookahead.
-//  2. Every shard independently drains its own queue up to (but not
-//     including) the horizon. With workers > 1, shards are striped
-//     round-robin over real host goroutines and drain concurrently.
-//  3. Cross-shard posts made during the epoch are buffered in the
-//     source shard's outbox. At the barrier they are merged into
-//     their target shards in canonical order — source shard
-//     ascending, then the order the source generated them — with
-//     each delivered event taking the next seq from its target's
-//     stream.
-//
-// Determinism does not depend on the worker count: inside an epoch a
-// shard's execution is a function of its own queue only (workers
-// share no simulation state), outboxes are keyed by source shard
-// rather than by scheduling accident, and the merge order is fixed.
-// Epoch-parallel and epoch-sequential runs therefore produce
-// byte-identical event streams — the equivalence property test pins
-// this under the race detector.
-//
-// Soundness is the conservative-lookahead argument: an event executed
-// in this epoch has at < horizon, and any cross-shard effect it emits
-// arrives at or after at + lookahead >= floor + lookahead = horizon,
-// so no event merged at the barrier can land below a clock any shard
-// reached during the epoch. The barrier asserts this (a delivered
-// post below its target's clock panics) — the lookahead contract is
-// checked, not trusted.
+// The contract is checked, not trusted. An event one shard pushes into
+// another lands either in a shard that already drained — it is still
+// queued when the workers join, and Run panics — or in a shard still
+// draining on another worker, a data race the -race worker-invariance
+// suite reports.
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// epochCtl is the shared state between the main epoch loop and its
-// helper workers. gate publishes the epoch number (helpers start epoch
-// e once gate >= e); done counts completed helper-epochs cumulatively,
-// so the main loop's barrier wait is a single monotone comparison with
-// no reset race. horizon and stop are plain fields: they are written
-// by the main loop before the gate store and read by helpers after the
-// gate load, so the atomic pair orders them.
-type epochCtl struct {
-	gate    atomic.Uint64
-	done    atomic.Uint64
-	horizon Time
-	stop    bool
-}
-
-// spinUntil waits for a to reach target, spinning briefly before
-// yielding the OS thread — barrier waits are usually short, but on a
-// host with fewer cores than workers a pure spin would starve the very
-// goroutines it is waiting for.
-func spinUntil(a *atomic.Uint64, target uint64) {
-	for i := 0; a.Load() < target; i++ {
-		if i > 64 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// minNextAt scans shard heads for the epoch floor; ok is false when
-// every shard is idle.
-func (s *Sim) minNextAt() (Time, bool) {
-	best := Time(0)
-	found := false
-	for i := range s.shards {
-		if at, _, ok := s.shards[i].peek(); ok {
-			if !found || at < best {
-				best, found = at, true
-			}
-		}
-	}
-	return best, found
-}
-
-// drainShard executes shard k's events with at < horizon, advancing
-// its local clock. It runs on whichever context owns k this epoch and
+// drainShard executes shard k's events until the shard is idle,
+// advancing its local clock. It runs on the worker that owns k and
 // touches only shard-local state (plus whatever the events themselves
 // touch — the cross-package contract audited in DESIGN.md §15).
-func (s *Sim) drainShard(k int, horizon Time) {
+func (s *Sim) drainShard(k int) {
 	sh := &s.shards[k]
-	for {
-		at, _, ok := sh.peek()
-		if !ok || at >= horizon {
-			return
-		}
+	for !sh.idle() {
 		e := sh.next()
 		sh.now = e.at
-		sh.processed++
-		if e.p != nil {
-			if e.pgen == e.p.gen {
-				s.resume(e.p)
-			}
-			continue
-		}
-		e.fn()
+		s.dispatch(sh, e)
 	}
 }
 
-// mergeOutboxes delivers every epoch-buffered cross-shard post:
-// source shards in ascending order, each outbox in generation order,
-// each delivery taking the next seq from the target's stream. The
-// causality check enforces the lookahead contract.
-func (s *Sim) mergeOutboxes() {
-	for src := range s.shards {
-		sh := &s.shards[src]
-		for i := range sh.outbox {
-			op := &sh.outbox[i]
-			tsh := &s.shards[op.target]
-			if op.e.at < tsh.now {
-				panic("sim: cross-shard post below target shard clock — lookahead contract violated")
-			}
-			tsh.seq++
-			op.e.seq = tsh.seq
-			tsh.events.push(op.e)
-			sh.outbox[i] = outPost{}
-		}
-		sh.outbox = sh.outbox[:0]
-	}
-}
-
-// runEpochs is Run's epoch-mode body. On exit the global clock is
-// synced to the maximum shard clock so post-run harness reads (metrics
-// snapshots, utilization integrals) see final time.
-func (s *Sim) runEpochs() {
+// runDrains is Run's armed body. On exit the global clock is synced to
+// the maximum shard clock so post-run harness reads (metrics snapshots,
+// utilization integrals) see final time.
+func (s *Sim) runDrains() {
+	// The coupled pop's winner cache goes stale while shards drain;
+	// winner < 0 also keeps routePost from updating it concurrently.
 	s.winner = -1
 	s.runnerOK = false
-	s.epochActive = true
-	defer func() {
-		s.epochActive = false
-		for i := range s.shards {
-			if sn := s.shards[i].now; sn > s.now {
-				s.now = sn
-			}
-		}
-	}()
 
 	k := len(s.shards)
-	w := s.workers
-	if w > k {
-		w = k
-	}
-	if w <= 1 {
-		for {
-			floor, ok := s.minNextAt()
-			if !ok {
-				return
-			}
-			s.now = floor
-			horizon := floor + s.lookahead
-			for i := 0; i < k; i++ {
-				s.drainShard(i, horizon)
-			}
-			s.mergeOutboxes()
+	w := min(s.workers, k)
+	drainOwned := func(j int) {
+		for i := j; i < k; i += w {
+			s.drainShard(i)
 		}
 	}
-
-	// Parallel: shard i is owned by worker i%w every epoch. Worker 0
-	// is the main loop; the rest are persistent helpers that wait on
-	// the gate, drain their shards, and bump the cumulative counter.
-	ctl := &epochCtl{}
-	helpers := w - 1
 	var wg sync.WaitGroup
-	for h := 1; h <= helpers; h++ {
+	for j := 1; j < w; j++ {
 		wg.Add(1)
-		go func(h int) {
+		go func() {
 			defer wg.Done()
-			for e := uint64(1); ; e++ {
-				spinUntil(&ctl.gate, e)
-				if ctl.stop {
-					return
-				}
-				for i := h; i < k; i += w {
-					s.drainShard(i, ctl.horizon)
-				}
-				ctl.done.Add(1)
-			}
-		}(h)
+			drainOwned(j)
+		}()
 	}
-	epoch := uint64(0)
-	for {
-		floor, ok := s.minNextAt()
-		if !ok {
-			break
-		}
-		s.now = floor
-		ctl.horizon = floor + s.lookahead
-		epoch++
-		ctl.gate.Store(epoch)
-		for i := 0; i < k; i += w {
-			s.drainShard(i, ctl.horizon)
-		}
-		spinUntil(&ctl.done, uint64(helpers)*epoch)
-		s.mergeOutboxes()
-	}
-	ctl.stop = true
-	ctl.gate.Store(epoch + 1)
+	drainOwned(0)
 	wg.Wait()
+
+	for i := range s.shards {
+		if sn := s.shards[i].now; sn > s.now {
+			s.now = sn
+		}
+	}
+	if s.pending() {
+		panic("sim: cross-shard event while armed — an armed event posted into a shard that had already drained")
+	}
 }

@@ -7,20 +7,21 @@ import (
 	"testing"
 )
 
-// epochScenario drives one randomized, epoch-legal workload — procs
-// pinned per shard, shard-local conds, cross-shard posts that respect
-// the lookahead window — and returns the per-shard execution traces.
-// Traces are collected per shard (each appended only by that shard's
-// events), so collection itself is race-free at any worker count and
-// the returned value is exactly the object the determinism contract
-// speaks about: each shard's ordered event stream.
-func epochScenario(seed int64, shards, workers int, lookahead Time) [][]string {
+// confinedScenario drives one randomized, shard-confined workload —
+// procs pinned per shard, same-shard timers and spawns, shard-local
+// conds — and returns the per-shard execution traces. workers > 0 arms
+// the parallel engine with that many host workers; workers == 0 runs
+// the same workload on the coupled scheduler. Traces are collected per
+// shard (each appended only by that shard's events), so collection
+// itself is race-free at any worker count and the returned value is
+// exactly the object the determinism contract speaks about: each
+// shard's ordered event stream.
+func confinedScenario(seed int64, shards, workers int) [][]string {
 	s := New()
 	for s.Shards() < shards {
 		s.AddShard()
 	}
-	s.SetLookahead(lookahead)
-	s.SetWorkers(workers)
+	s.SetParallel(workers)
 
 	logs := make([][]string, shards)
 	tr := func(k int, at Time, tag string) {
@@ -28,7 +29,7 @@ func epochScenario(seed int64, shards, workers int, lookahead Time) [][]string {
 	}
 
 	// One cond per shard: waiters and signalers stay on the shard, the
-	// contract Cond documents for parallel runs.
+	// contract Cond documents for armed runs.
 	conds := make([]*Cond, shards)
 	waiting := make([]int, shards)
 	for k := range conds {
@@ -37,28 +38,26 @@ func epochScenario(seed int64, shards, workers int, lookahead Time) [][]string {
 
 	const procs = 12
 	for i := 0; i < procs; i++ {
-		i := i
 		k := i % shards
 		rng := rand.New(rand.NewSource(seed*1777 + int64(i)))
 		s.SpawnOn(k, fmt.Sprintf("p%d", i), func(p *Proc) {
 			for step := 0; step < 40; step++ {
 				tag := fmt.Sprintf("p%d.%d", i, step)
-				switch rng.Intn(7) {
+				switch rng.Intn(6) {
 				case 0:
 					p.Yield()
 					tr(k, p.Now(), tag+":yield")
 				case 1:
-					p.Sleep(Time(1 + rng.Intn(int(lookahead))))
+					p.Sleep(Time(1 + rng.Intn(20)))
 					tr(k, p.Now(), tag+":sleep")
 				case 2: // same-shard timer
 					at := p.Now()
-					p.After(Time(rng.Intn(int(lookahead))), func() {
+					p.After(Time(rng.Intn(20)), func() {
 						tr(k, p.sim.ShardNow(k), tag+":after")
 					})
 					tr(k, at, tag+":armed")
 				case 3: // same-shard spawn burst
 					for c := 0; c < 2; c++ {
-						c := c
 						p.Spawn("child", func(q *Proc) {
 							tr(k, q.Now(), fmt.Sprintf("%s:child%d", tag, c))
 							q.Sleep(Time(1 + rng.Intn(3)))
@@ -76,14 +75,7 @@ func epochScenario(seed int64, shards, workers int, lookahead Time) [][]string {
 						conds[k].Broadcast()
 						tr(k, p.Now(), tag+":broadcast")
 					}
-				case 5: // cross-shard post, at least one window out
-					dst := rng.Intn(shards)
-					d := lookahead + Time(rng.Intn(int(lookahead)))
-					p.PostOn(dst, d, func() {
-						tr(dst, p.sim.ShardNow(dst), tag+":xpost")
-					})
-					tr(k, p.Now(), tag+":xsent")
-				case 6:
+				case 5:
 					p.Sleep(0)
 					tr(k, p.Now(), tag+":sleep0")
 				}
@@ -97,26 +89,26 @@ func epochScenario(seed int64, shards, workers int, lookahead Time) [][]string {
 }
 
 // TestParallelEquivalenceProperty is the tentpole determinism gate:
-// for 20 random workloads, the epoch engine produces byte-identical
-// per-shard event streams at every worker count. Workers only change
-// which host goroutine executes a shard's epoch slice — never what
-// runs, when, or in which order within a shard. Run with -race to
-// additionally verify the engine is data-race-free at W > 1.
+// for 20 random shard-confined workloads, every shard's event stream is
+// byte-identical at every worker count and to the coupled scheduler's
+// run of the same workload. Workers only change which host goroutine
+// drains a shard — never what runs, when, or in which order within a
+// shard. Run with -race to additionally verify the drains share no
+// state at W > 1.
 func TestParallelEquivalenceProperty(t *testing.T) {
-	const lookahead = 20
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, shards := range []int{2, 4} {
-			ref := epochScenario(seed, shards, 1, lookahead)
-			for _, workers := range []int{2, 4, 8} {
-				got := epochScenario(seed, shards, workers, lookahead)
+			ref := confinedScenario(seed, shards, 0)
+			for _, workers := range []int{1, 2, 4, 8} {
+				got := confinedScenario(seed, shards, workers)
 				for k := range ref {
 					if len(got[k]) != len(ref[k]) {
-						t.Fatalf("seed %d shards %d workers %d: shard %d stream length %d, want %d",
+						t.Fatalf("seed %d shards %d workers %d: shard %d stream length %d, coupled %d",
 							seed, shards, workers, k, len(got[k]), len(ref[k]))
 					}
 					for j := range ref[k] {
 						if got[k][j] != ref[k][j] {
-							t.Fatalf("seed %d shards %d workers %d: shard %d diverges at step %d: %q vs %q",
+							t.Fatalf("seed %d shards %d workers %d: shard %d diverges from coupled at step %d: %q vs %q",
 								seed, shards, workers, k, j, got[k][j], ref[k][j])
 						}
 					}
@@ -126,48 +118,50 @@ func TestParallelEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestEpochSequentialMatchesRerun pins that the armed engine is also
+// TestArmedSequentialMatchesRerun pins that the armed engine is also
 // reproducible against itself across independent simulations (fresh
 // heaps, fresh proc IDs, fresh pools).
-func TestEpochSequentialMatchesRerun(t *testing.T) {
-	a := epochScenario(42, 4, 1, 25)
-	b := epochScenario(42, 4, 1, 25)
+func TestArmedSequentialMatchesRerun(t *testing.T) {
+	a := confinedScenario(42, 4, 1)
+	b := confinedScenario(42, 4, 1)
 	for k := range a {
 		if strings.Join(a[k], "\n") != strings.Join(b[k], "\n") {
-			t.Fatalf("shard %d: epoch-sequential run not reproducible", k)
+			t.Fatalf("shard %d: armed sequential run not reproducible", k)
 		}
 	}
 }
 
-// TestEpochLookaheadViolationPanics checks the soundness backstop: a
-// cross-shard post that lands below the target shard's clock — i.e. a
-// workload that broke the lookahead promise — must panic at the
-// barrier merge instead of silently reordering history.
-func TestEpochLookaheadViolationPanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("merge accepted a cross-shard post below the target shard clock")
-		}
-		if !strings.Contains(fmt.Sprint(r), "lookahead contract violated") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	s := New()
-	s.AddShard()
-	s.SetLookahead(1000)
-	s.SetWorkers(1)
-	// Shard 1 burns through the whole first epoch one tick at a time,
-	// running its clock to the horizon.
-	s.SpawnOn(1, "ahead", func(p *Proc) {
-		for i := 0; i < 900; i++ {
-			p.Sleep(1)
-		}
-	})
-	// Shard 0 posts into shard 1 with a delay far inside the window.
-	s.SpawnOn(0, "cheat", func(p *Proc) {
-		p.PostOn(1, 10, func() {})
-	})
-	s.Run()
-	s.Shutdown()
+// TestArmedCrossShardWakePanics checks the confinement backstop: a
+// proc on shard 1 signals a cond whose waiter lives on shard 0, which
+// at one worker has already drained. The wakeup is left queued when
+// the drains join, and Run must panic instead of dropping or
+// reordering it. The same workload is legal on the coupled scheduler.
+func TestArmedCrossShardWakePanics(t *testing.T) {
+	run := func(workers int) (r any) {
+		s := New()
+		s.AddShard()
+		s.SetParallel(workers)
+		c := s.NewCond()
+		s.SpawnOn(0, "waiter", func(p *Proc) { c.Wait(p) })
+		s.SpawnOn(1, "waker", func(p *Proc) {
+			p.Sleep(10)
+			c.Signal()
+		})
+		defer func() {
+			r = recover()
+			s.Shutdown()
+		}()
+		s.Run()
+		return nil
+	}
+	if r := run(0); r != nil {
+		t.Fatalf("coupled run panicked: %v", r)
+	}
+	r := run(1)
+	if r == nil {
+		t.Fatal("armed run accepted a wakeup posted into a drained shard")
+	}
+	if !strings.Contains(fmt.Sprint(r), "cross-shard event while armed") {
+		t.Fatalf("unexpected panic: %v", r)
+	}
 }

@@ -6,7 +6,7 @@ package sim
 // waiter.
 //
 // A resource is shard-resident: its busy-time accounting reads the
-// clock of the shard it was created for, and in a parallel (epoch)
+// clock of the shard it was created for, and in an armed (parallel)
 // run both its holders and its waiters must live on that shard.
 // Device channel pools and per-inode locks are naturally shard-local;
 // create them with NewResourceOn.

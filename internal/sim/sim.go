@@ -23,11 +23,11 @@
 // canonical (at, shard, seq) key — virtual-clock lockstep. A
 // single-shard simulation sees only the shard-0 stream, so its
 // dispatch order is the historical single-queue order exactly. On top
-// of the coupled scheduler sits an epoch-based conservative parallel
-// engine (DESIGN.md §15, parallel.go): arm it with SetLookahead +
-// SetWorkers and Run executes shards on real host cores, with
-// cross-shard posts buffered per epoch and merged at barriers in a
-// canonical order that makes results identical at any worker count.
+// of the coupled scheduler sits a parallel engine (DESIGN.md §15,
+// parallel.go): arm it with SetParallel and Run drains each shard to
+// idle on a host worker. Armed traffic is shard-confined, so every
+// shard's stream — and every result — is identical at any worker count
+// and to the coupled run.
 package sim
 
 import (
@@ -167,21 +167,13 @@ func releaseEventHeap(h eventHeap) {
 	heapPool.Put(&h)
 }
 
-// outPost is a cross-shard post buffered during an epoch (parallel.go):
-// the event plus its destination shard. Its seq is assigned when the
-// barrier merge delivers it, in canonical order.
-type outPost struct {
-	target int
-	e      event
-}
-
 // shard is one partition of the event stream and its private runtime
 // state: a heap for future posts, the same-instant staging lane, a
 // local clock and seq stream, and the proc pool whose resumes route
 // here. A single-device simulation has exactly one shard; a topology
-// gives each device its own via AddShard. In an epoch run (DESIGN.md
-// §15) each shard is owned by exactly one worker per epoch, so none of
-// these fields need locks.
+// gives each device its own via AddShard. In an armed run (DESIGN.md
+// §15) each shard is drained by exactly one worker, so none of these
+// fields need locks.
 type shard struct {
 	events  eventHeap
 	lane    []event
@@ -189,8 +181,8 @@ type shard struct {
 
 	// now is the shard's local clock: the timestamp of the last event
 	// dispatched on it. Under the coupled scheduler it trails the
-	// global clock; under the epoch engine it runs ahead of it, up to
-	// the epoch horizon.
+	// global clock; while armed it runs ahead of it, which stays at
+	// the arming instant until the drains join.
 	now Time
 	// seq is the shard's post counter. The canonical event key is
 	// (at, shard, seq): per-shard streams with the shard index as the
@@ -209,10 +201,6 @@ type shard struct {
 	procs      []*Proc
 	free       []*Proc
 	nextProcID uint64
-
-	// outbox buffers cross-shard posts made during an epoch; the
-	// barrier merge drains it in source-shard order.
-	outbox []outPost
 }
 
 func newShard() shard {
@@ -318,9 +306,9 @@ func (p *Proc) Sim() *Sim { return p.sim }
 
 // Now returns the proc's current virtual time: its shard's clock or
 // the global clock, whichever is ahead. Under the coupled scheduler
-// this equals the global clock whenever the proc is running; under
-// the epoch engine it is the correct local time while the global
-// clock trails at the epoch floor.
+// this equals the global clock whenever the proc is running; while
+// armed it is the correct local time while the global clock trails at
+// the arming instant.
 func (p *Proc) Now() Time { return p.sim.ShardNow(p.shard) }
 
 // Shard reports the event shard the proc's resumes route through.
@@ -390,14 +378,9 @@ type Sim struct {
 	runnerShard int
 	runnerSeq   uint64
 
-	// Parallel-engine knobs (parallel.go). lookahead > 0 with more
-	// than one shard arms the epoch engine for Run; workers is the
-	// number of host goroutines that execute shards inside an epoch.
-	lookahead Time
-	workers   int
-	// epochActive is true while runEpochs is driving the simulation;
-	// cross-shard posts divert to the source shard's outbox.
-	epochActive bool
+	// workers > 0 with more than one shard arms the parallel engine
+	// (parallel.go): Run drains the shards on that many host workers.
+	workers int
 
 	killing bool
 	running bool
@@ -406,19 +389,20 @@ type Sim struct {
 // New returns an empty simulation with the clock at zero and a single
 // event shard.
 func New() *Sim {
-	return &Sim{shards: []shard{newShard()}, winner: -1, workers: 1}
+	return &Sim{shards: []shard{newShard()}, winner: -1}
 }
 
-// Now returns the current virtual time of the coupled scheduler. Under
-// the epoch engine this is the epoch floor — procs should use
-// Proc.Now (their shard clock) instead; after Run returns it is the
-// maximum across shards.
+// Now returns the current virtual time of the coupled scheduler. While
+// armed it stays at the arming instant — procs should use Proc.Now
+// (their shard clock) instead; after Run returns it is the maximum
+// across shards.
 func (s *Sim) Now() Time { return s.now }
 
 // ShardNow reports virtual time as seen from the given shard: the
 // shard clock or the global clock, whichever is ahead. Under the
-// coupled scheduler this equals Now(); under the epoch engine it is
-// the shard's local time.
+// coupled scheduler this equals Now(); while armed it is the shard's
+// local time. It is also the earliest time a post to shard k may
+// carry.
 func (s *Sim) ShardNow(k int) Time {
 	if sn := s.shards[k].now; sn > s.now {
 		return sn
@@ -459,38 +443,16 @@ func (s *Sim) AddShard() int {
 // Shards reports the number of event shards.
 func (s *Sim) Shards() int { return len(s.shards) }
 
-// SetLookahead sets the epoch window for the conservative parallel
-// engine: with more than one shard and lookahead > 0, Run executes
-// epochs of width lookahead instead of the coupled one-event-at-a-time
-// loop. The caller asserts that while armed, no cross-shard post
-// travels less than the window — the barrier merge panics on a
-// violation. Topology boot derives a hardware floor from the machine's
-// configured latencies; phases that additionally promise cross-shard
-// quiescence (device-affine tenant traffic) may widen the window to
-// amortize barriers. Set 0 to disarm.
-func (s *Sim) SetLookahead(d Time) {
-	if d < 0 {
-		panic("sim: negative lookahead")
-	}
-	s.lookahead = d
+// SetParallel arms the parallel engine with the given number of host
+// workers, or disarms it with workers <= 0. While armed with more than
+// one shard, Run drains every shard to idle on its worker instead of
+// popping the global minimum one event at a time. The caller asserts
+// that armed traffic is shard-confined: no armed event posts into
+// another shard (Run panics on one it can see). Results are identical
+// at any worker count by construction.
+func (s *Sim) SetParallel(workers int) {
+	s.workers = max(workers, 0)
 }
-
-// Lookahead reports the current epoch window (0 = coupled dispatch).
-func (s *Sim) Lookahead() Time { return s.lookahead }
-
-// SetWorkers sets how many host goroutines execute shards inside an
-// epoch. It only matters while the epoch engine is armed
-// (SetLookahead > 0, shards > 1); results are identical at any worker
-// count by construction. n < 1 is treated as 1.
-func (s *Sim) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
-
-// Workers reports the configured worker count.
-func (s *Sim) Workers() int { return s.workers }
 
 // keyLess orders the canonical (at, shard, seq) event key.
 func keyLess(a1 Time, s1 int, q1 uint64, a2 Time, s2 int, q2 uint64) bool {
@@ -504,19 +466,10 @@ func keyLess(a1 Time, s1 int, q1 uint64, a2 Time, s2 int, q2 uint64) bool {
 }
 
 // routePost is the single enqueue path: e goes to shard tgt with a seq
-// from tgt's stream; src is the posting context's shard. During an
-// epoch run cross-shard posts divert to the source shard's outbox and
-// get their seq at the barrier merge — that deferred, canonical
-// assignment is what makes parallel execution order-identical to
-// sequential.
-func (s *Sim) routePost(src, tgt int, e event) {
+// from tgt's stream.
+func (s *Sim) routePost(tgt int, e event) {
 	if s.noShard {
-		src, tgt = 0, 0
-	}
-	if s.epochActive && tgt != src {
-		sh := &s.shards[src]
-		sh.outbox = append(sh.outbox, outPost{target: tgt, e: e})
-		return
+		tgt = 0
 	}
 	sh := &s.shards[tgt]
 	sh.seq++
@@ -526,15 +479,14 @@ func (s *Sim) routePost(src, tgt int, e event) {
 	} else {
 		sh.events.push(e)
 	}
-	if !s.epochActive {
-		s.noteEnqueue(tgt, e.at, e.seq)
-	}
+	s.noteEnqueue(tgt, e.at, e.seq)
 }
 
 // noteEnqueue keeps the coupled pop's runner-up key fresh: an enqueue
 // to a non-winner shard can only lower that shard's head, so folding
 // its key into the cached runner-up preserves "runner-up ≤ every
-// non-winner head" without rescanning.
+// non-winner head" without rescanning. Armed drains clear the winner,
+// so this never writes while shards drain in parallel.
 func (s *Sim) noteEnqueue(k int, at Time, seq uint64) {
 	w := s.winner
 	if w < 0 || k == w {
@@ -545,36 +497,24 @@ func (s *Sim) noteEnqueue(k int, at Time, seq uint64) {
 	}
 }
 
-// postFloor is the earliest legal timestamp for a post targeting shard
-// k: the shard clock, and — outside an epoch run, where the global
-// clock is the true frontier — the global clock too. (Inside an epoch
-// shard clocks legitimately run ahead of s.now.)
-func (s *Sim) postFloor(k int) Time {
-	floor := s.shards[k].now
-	if !s.epochActive && s.now > floor {
-		floor = s.now
-	}
-	return floor
-}
-
 // post schedules fn to run at time at on the current coupled dispatch
 // context's shard. fn executes on the scheduler goroutine; it must not
-// block. Not for use from parallel (epoch-armed) workloads — those
-// post through a Proc context.
+// block. Not for use from armed workloads — those post through a Proc
+// context.
 func (s *Sim) post(at Time, fn func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", at, s.now))
 	}
-	s.routePost(s.cur, s.cur, event{at: at, fn: fn})
+	s.routePost(s.cur, event{at: at, fn: fn})
 }
 
 // postResume schedules p to be resumed at time at without allocating a
 // closure, on p's shard.
 func (s *Sim) postResume(at Time, p *Proc) {
-	if floor := s.postFloor(p.shard); at < floor {
+	if floor := s.ShardNow(p.shard); at < floor {
 		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", at, floor))
 	}
-	s.routePost(p.shard, p.shard, event{at: at, p: p, pgen: p.gen})
+	s.routePost(p.shard, event{at: at, p: p, pgen: p.gen})
 }
 
 // pending reports whether any event is queued in any shard.
@@ -668,13 +608,13 @@ func (s *Sim) After(d Time, fn func()) { s.post(s.now+d, fn) }
 
 // AtOn schedules fn at absolute time at on an explicit shard. It is
 // the shard-safe variant for layers that hold a shard index rather
-// than a Proc context (a device's wakeup timer): in an epoch run the
+// than a Proc context (a device's wakeup timer): while armed the
 // caller must be executing on that same shard.
 func (s *Sim) AtOn(k int, at Time, fn func()) {
-	if floor := s.postFloor(k); at < floor {
+	if floor := s.ShardNow(k); at < floor {
 		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", at, floor))
 	}
-	s.routePost(k, k, event{at: at, fn: fn})
+	s.routePost(k, event{at: at, fn: fn})
 }
 
 // Spawn creates a proc that begins executing fn at the current virtual
@@ -755,30 +695,16 @@ func (p *Proc) After(d Time, fn func()) {
 // At schedules fn at absolute time at on the calling proc's shard.
 func (p *Proc) At(at Time, fn func()) {
 	s := p.sim
-	if floor := s.postFloor(p.shard); at < floor {
+	if floor := s.ShardNow(p.shard); at < floor {
 		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", at, floor))
 	}
-	s.routePost(p.shard, p.shard, event{at: at, fn: fn})
-}
-
-// PostOn schedules fn on another shard, delay nanoseconds after the
-// calling proc's current time. It is the one cross-shard primitive
-// legal inside an epoch run: the post lands in the source shard's
-// outbox and is merged at the next barrier, so delay must be at least
-// the armed lookahead. Outside an epoch run it is an ordinary
-// cross-shard post.
-func (p *Proc) PostOn(dst int, delay Time, fn func()) {
-	s := p.sim
-	if delay < 0 {
-		panic("sim: negative PostOn delay")
-	}
-	s.routePost(p.shard, dst, event{at: p.Now() + delay, fn: fn})
+	s.routePost(p.shard, event{at: at, fn: fn})
 }
 
 // allocProcOn hands out a proc resident on shard k for a new logical
 // spawn, recycling a finished proc's object and goroutine when one is
 // free. Must run on a context that owns shard k (the coupled
-// scheduler, or k's worker during an epoch).
+// scheduler, or k's worker while armed).
 func (s *Sim) allocProcOn(k int, name string) *Proc {
 	sh := &s.shards[k]
 	var p *Proc
@@ -899,7 +825,7 @@ func (p *Proc) Sleep(d Time) {
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // wakeAt schedules p to be resumed at absolute time at. Wakeups route
-// through p's shard; a cross-shard waker inside an epoch run is out of
+// through p's shard; a cross-shard waker while armed is out of
 // contract (see Cond).
 func (s *Sim) wakeAt(at Time, p *Proc) {
 	s.postResume(at, p)
@@ -909,13 +835,13 @@ func (s *Sim) wakeAt(at Time, p *Proc) {
 // conditions with no pending wakeups remain parked (idle servers); call
 // Shutdown to unwind them.
 //
-// With more than one shard and a non-zero lookahead, Run uses the
-// conservative epoch engine (parallel.go); otherwise it is the coupled
-// loop popping the global (at, shard, seq) minimum one event at a time.
-// Eligibility is re-checked between dispatches, so a harness may arm
-// the engine mid-run (SetLookahead from inside an event handler, e.g.
-// after a setup phase that needs coupled cross-shard freedom) and the
-// remaining events execute in epochs.
+// With more than one shard and the engine armed, Run drains the shards
+// in parallel (parallel.go); otherwise it is the coupled loop popping
+// the global (at, shard, seq) minimum one event at a time. Arming is
+// re-checked between dispatches, so a harness may arm the engine
+// mid-run (SetParallel from inside an event handler, e.g. after a
+// setup phase that needs coupled cross-shard freedom) and the
+// remaining events drain in parallel.
 func (s *Sim) Run() {
 	if s.running {
 		panic("sim: Run is not reentrant")
@@ -923,9 +849,9 @@ func (s *Sim) Run() {
 	s.running = true
 	defer func() { s.running = false }()
 	for s.pending() {
-		if len(s.shards) > 1 && s.lookahead > 0 {
-			s.runEpochs()
-			continue
+		if s.ParallelArmed() {
+			s.runDrains() // leaves every shard idle, or panics
+			return
 		}
 		e := s.next()
 		s.now = e.at
@@ -935,17 +861,17 @@ func (s *Sim) Run() {
 	}
 }
 
-// ParallelArmed reports whether the epoch engine is armed: the next
-// Run (or the remainder of the current one) will execute in epochs.
+// ParallelArmed reports whether the parallel engine is armed: the next
+// Run (or the remainder of the current one) drains shards in parallel.
 // Control planes consult this to confine cross-shard side effects to
 // coupled phases.
 func (s *Sim) ParallelArmed() bool {
-	return len(s.shards) > 1 && s.lookahead > 0
+	return len(s.shards) > 1 && s.workers > 0
 }
 
 // RunUntil processes events with timestamps <= t, then sets the clock
 // to t. It returns the number of events processed. RunUntil always
-// dispatches coupled (no epoch engine): it is a harness-stepping API.
+// dispatches coupled (never armed): it is a harness-stepping API.
 func (s *Sim) RunUntil(t Time) int {
 	if s.running {
 		panic("sim: RunUntil is not reentrant")
@@ -986,10 +912,6 @@ func (s *Sim) Shutdown() {
 		}
 		sh.lane = sh.lane[:0]
 		sh.laneOff = 0
-		for i := range sh.outbox {
-			sh.outbox[i] = outPost{}
-		}
-		sh.outbox = sh.outbox[:0]
 		sh.free = nil
 	}
 	for si := range s.shards {

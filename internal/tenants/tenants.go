@@ -262,7 +262,7 @@ func Run(seed int64, sc Scenario, o core.RunOptions) ([]*Result, uint64, error) 
 				// Each tenant is its own process: own address space, own
 				// PASID, own QoS class on every queue it registers — bound
 				// to the device the striping policy placed it on. Tenant
-				// pipelines are device-affine, as the epoch engine needs.
+				// pipelines are device-affine, as armed drains need.
 				pr := sys.NewProcessOn(ext4.Root, sc.placement(ti))
 				pr.QoS = sc.Tenants[ti].QoS
 				procs[ti] = pr

@@ -2,6 +2,7 @@ package tenants
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -150,6 +151,34 @@ func TestTenantStorm(t *testing.T) {
 	}
 	if r.PeakBacklog < burstArrivals {
 		t.Errorf("peak backlog %d, want ≥ burst size %d", r.PeakBacklog, burstArrivals)
+	}
+}
+
+// TestFaultedScaleOutWorkerInvariant: a two-device scale-out under the
+// tenant-storm profile is a faulted run on the parallel engine. Its
+// report, event count and injected faults must be identical across
+// reruns and at 1 and 4 host workers.
+func TestFaultedScaleOutWorkerInvariant(t *testing.T) {
+	sc := ScaleOut(2, 300, 300)
+	render := func(workers int) string {
+		plan, err := faults.NewPlan("tenant-storm", 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, events, err := Run(3, sc, core.RunOptions{Env: kernel.Env{Faults: plan}, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Total() == 0 {
+			t.Fatal("tenant-storm injected nothing")
+		}
+		return fmt.Sprintf("%s\nevents %d\nfaults %v", ReportTable(sc, res), events, plan.Counts())
+	}
+	ref := render(1)
+	for _, w := range []int{1, 4} {
+		if got := render(w); got != ref {
+			t.Fatalf("workers=%d differs from the first workers=1 run:\n%s\nvs\n%s", w, got, ref)
+		}
 	}
 }
 

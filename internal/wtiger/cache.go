@@ -35,7 +35,7 @@ func newPageCache(s *sim.Sim, budget int64) *pageCache {
 
 // newPageCacheOn pins the cache lock to the store's device shard, so
 // a multi-SSD caller (the frontend service tier) can run one store
-// per device under the parallel epoch engine: each lock's holders and
+// per device while the parallel engine is armed: each lock's holders and
 // waiters all live on that device's shard.
 func newPageCacheOn(s *sim.Sim, shard int, budget int64) *pageCache {
 	return &pageCache{
