@@ -4,6 +4,14 @@ package sim
 // another proc (or an event) signals or broadcasts. As with
 // sync.Cond, callers should re-check their predicate in a loop around
 // Wait because wakeups are not tied to predicate changes.
+//
+// A wakeup fires at ShardNow of the waiter's shard: under the coupled
+// scheduler that is the global clock, the historical "wake at now";
+// while armed it is the correct local time for a shard-local signal.
+// Signaling a cond whose waiters live on another shard while armed is
+// out of contract: Run panics if the waiter's shard had already
+// drained, and the race detector reports a signaler racing a shard
+// still draining.
 type Cond struct {
 	sim     *Sim
 	waiters []*Proc
@@ -18,22 +26,6 @@ func (c *Cond) Wait(p *Proc) {
 	p.park()
 }
 
-// wakeTime is the virtual instant a wakeup for p fires at: p's shard
-// clock or the global clock, whichever is ahead. Under the coupled
-// scheduler the global clock is always ahead, reproducing the
-// historical "wake at now" exactly; while armed the shard clock is the
-// correct local time for a shard-local signal. Signaling a cond whose
-// waiters live on another shard while armed is out of contract: Run
-// panics if the waiter's shard had already drained, and the race
-// detector reports a signaler racing a shard still draining.
-func (c *Cond) wakeTime(p *Proc) Time {
-	at := c.sim.now
-	if sn := c.sim.shards[p.shard].now; sn > at {
-		at = sn
-	}
-	return at
-}
-
 // Signal wakes the earliest waiter, if any. It may be called from any
 // proc or from scheduler context.
 func (c *Cond) Signal() {
@@ -43,13 +35,13 @@ func (c *Cond) Signal() {
 	p := c.waiters[0]
 	copy(c.waiters, c.waiters[1:])
 	c.waiters = c.waiters[:len(c.waiters)-1]
-	c.sim.wakeAt(c.wakeTime(p), p)
+	c.sim.wakeAt(c.sim.ShardNow(p.shard), p)
 }
 
 // Broadcast wakes every waiter in FIFO order.
 func (c *Cond) Broadcast() {
 	for _, p := range c.waiters {
-		c.sim.wakeAt(c.wakeTime(p), p)
+		c.sim.wakeAt(c.sim.ShardNow(p.shard), p)
 	}
 	c.waiters = c.waiters[:0]
 }

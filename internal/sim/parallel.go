@@ -28,9 +28,7 @@ import "sync"
 func (s *Sim) drainShard(k int) {
 	sh := &s.shards[k]
 	for !sh.idle() {
-		e := sh.next()
-		sh.now = e.at
-		s.dispatch(sh, e)
+		s.dispatch(sh, sh.next())
 	}
 }
 
@@ -38,11 +36,6 @@ func (s *Sim) drainShard(k int) {
 // the maximum shard clock so post-run harness reads (metrics snapshots,
 // utilization integrals) see final time.
 func (s *Sim) runDrains() {
-	// The coupled pop's winner cache goes stale while shards drain;
-	// winner < 0 also keeps routePost from updating it concurrently.
-	s.winner = -1
-	s.runnerOK = false
-
 	k := len(s.shards)
 	w := min(s.workers, k)
 	drainOwned := func(j int) {

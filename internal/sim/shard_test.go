@@ -13,8 +13,9 @@ import (
 // cross-shard cases the (at, seq) merge must get right: same-instant
 // posts landing in different lanes, handlers that post into other
 // procs' shards via cond wakeups, zero-length sleeps, and spawn
-// bursts whose children inherit the spawner's shard.
-func shardScenario(seed int64, shards int, noShard bool) []string {
+// bursts whose children inherit the spawner's shard. run drives the
+// scheduler, normally (*Sim).Run.
+func shardScenario(seed int64, shards int, noShard bool, run func(*Sim)) []string {
 	s := New()
 	for s.Shards() < shards {
 		s.AddShard()
@@ -78,7 +79,7 @@ func shardScenario(seed int64, shards int, noShard bool) []string {
 			trace(fmt.Sprintf("p%d:done", i), p)
 		})
 	}
-	s.Run()
+	run(s)
 	s.Shutdown()
 	return log
 }
@@ -101,8 +102,8 @@ func shardScenario(seed int64, shards int, noShard bool) []string {
 func TestShardDispatchEquivalenceProperty(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		for _, shards := range []int{2, 4, 8} {
-			ref := shardScenario(seed, shards, true)
-			single := shardScenario(seed, 1, false)
+			ref := shardScenario(seed, shards, true, (*Sim).Run)
+			single := shardScenario(seed, 1, false, (*Sim).Run)
 			if len(ref) != len(single) {
 				t.Fatalf("seed %d shards %d: trace lengths %d (noShard) %d (single)",
 					seed, shards, len(ref), len(single))
@@ -113,8 +114,8 @@ func TestShardDispatchEquivalenceProperty(t *testing.T) {
 						seed, shards, i, ref[i], single[i])
 				}
 			}
-			a := shardScenario(seed, shards, false)
-			b := shardScenario(seed, shards, false)
+			a := shardScenario(seed, shards, false, (*Sim).Run)
+			b := shardScenario(seed, shards, false, (*Sim).Run)
 			if len(a) != len(b) {
 				t.Fatalf("seed %d shards %d: sharded dispatch not reproducible: lengths %d vs %d",
 					seed, shards, len(a), len(b))
@@ -124,6 +125,63 @@ func TestShardDispatchEquivalenceProperty(t *testing.T) {
 					t.Fatalf("seed %d shards %d: sharded dispatch not reproducible at step %d: %q vs %q",
 						seed, shards, i, a[i], b[i])
 				}
+			}
+		}
+	}
+}
+
+// bruteMin scans every queued event of every shard — heap slice and
+// lane alike — for the canonical (at, shard, seq) minimum.
+func bruteMin(s *Sim) (at Time, k int, seq uint64) {
+	k = -1
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for _, q := range [][]event{sh.events, sh.lane[sh.laneOff:]} {
+			for _, e := range q {
+				if k < 0 || e.at < at || (e.at == at && (i < k || (i == k && e.seq < seq))) {
+					at, k, seq = e.at, i, e.seq
+				}
+			}
+		}
+	}
+	return at, k, seq
+}
+
+// queued reports whether an event with the given seq is still queued
+// on sh.
+func queued(sh *shard, seq uint64) bool {
+	for _, q := range [][]event{sh.events, sh.lane[sh.laneOff:]} {
+		for _, e := range q {
+			if e.seq == seq {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestCoupledPopOracle checks every coupled cross-shard pop against a
+// brute-force scan of all queued events: the popped event must be the
+// (at, shard, seq) minimum. A monotonicity check would not do — a
+// same-instant wake posted into a lower shard legitimately lands
+// behind the key just dispatched.
+func TestCoupledPopOracle(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, shards := range []int{2, 4, 8} {
+			pops := 0
+			shardScenario(seed, shards, false, func(s *Sim) {
+				for s.pending() {
+					at, k, seq := bruteMin(s)
+					s.step()
+					pops++
+					if s.cur != k || s.now != at || queued(&s.shards[k], seq) {
+						t.Fatalf("seed %d shards %d pop %d: dispatched on shard %d at %d, want (at %d, shard %d, seq %d)",
+							seed, shards, pops, s.cur, s.now, at, k, seq)
+					}
+				}
+			})
+			if pops == 0 {
+				t.Fatalf("seed %d shards %d: no events dispatched", seed, shards)
 			}
 		}
 	}

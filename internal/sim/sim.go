@@ -14,20 +14,22 @@
 // same-instant events go through a FIFO staging lane instead of the
 // heap (no sift traffic for wakeup storms), finished procs park their
 // goroutines in a free pool for reuse by later Spawns (no goroutine,
-// stack, or channel churn in steady state), and SpawnArg avoids the
-// per-spawn closure allocation on the device's per-command path.
+// stack, or channel churn in steady state), and Proc.SpawnArg avoids
+// the per-spawn closure allocation on the device's per-command path.
+// Every post and spawn funnels through one enqueue path (routePost),
+// which also holds the one "posted in the past" check.
 //
 // Multi-device topologies partition the event stream into shards
 // (DESIGN.md §14): each shard owns its own heap + staging lane, clock,
-// and seq stream, and the scheduler pops the global minimum by the
-// canonical (at, shard, seq) key — virtual-clock lockstep. A
-// single-shard simulation sees only the shard-0 stream, so its
-// dispatch order is the historical single-queue order exactly. On top
-// of the coupled scheduler sits a parallel engine (DESIGN.md §15,
-// parallel.go): arm it with SetParallel and Run drains each shard to
-// idle on a host worker. Armed traffic is shard-confined, so every
-// shard's stream — and every result — is identical at any worker count
-// and to the coupled run.
+// and seq stream, and the coupled scheduler pops the global minimum by
+// the canonical (at, shard, seq) key — virtual-clock lockstep — with a
+// plain scan of the shard heads. A single-shard simulation sees only
+// the shard-0 stream, so its dispatch order is the historical
+// single-queue order exactly. On top of the coupled scheduler sits a
+// parallel engine (DESIGN.md §15, parallel.go): arm it with
+// SetParallel and Run drains each shard to idle on a host worker.
+// Armed traffic is shard-confined, so every shard's stream — and every
+// result — is identical at any worker count and to the coupled run.
 package sim
 
 import (
@@ -207,44 +209,48 @@ func newShard() shard {
 	return shard{events: newEventHeap(), yield: make(chan struct{})}
 }
 
-// peek reports the shard's earliest queued (at, seq), merging the
-// lane front against the heap top; ok is false when the shard is idle.
-func (sh *shard) peek() (at Time, seq uint64, ok bool) {
-	hasLane := sh.laneOff < len(sh.lane)
-	hasHeap := len(sh.events) > 0
-	if hasLane {
-		le := &sh.lane[sh.laneOff]
-		if !hasHeap || le.at < sh.events[0].at ||
-			(le.at == sh.events[0].at && le.seq < sh.events[0].seq) {
-			return le.at, le.seq, true
-		}
+// laneFirst reports whether the shard's next event is the lane front:
+// the lane is non-empty and its front precedes the heap top by
+// (at, seq). Lane entries hold at == the shard clock at post time, so
+// only a heap entry at the same instant with an older seq may precede
+// them.
+func (sh *shard) laneFirst() bool {
+	if sh.laneOff >= len(sh.lane) {
+		return false
 	}
-	if hasHeap {
-		return sh.events[0].at, sh.events[0].seq, true
+	if len(sh.events) == 0 {
+		return true
 	}
-	return 0, 0, false
+	le, he := &sh.lane[sh.laneOff], &sh.events[0]
+	return le.at < he.at || (le.at == he.at && le.seq < he.seq)
+}
+
+// peek reports the time of the shard's earliest queued event; ok is
+// false when the shard is idle.
+func (sh *shard) peek() (at Time, ok bool) {
+	if sh.laneFirst() {
+		return sh.lane[sh.laneOff].at, true
+	}
+	if len(sh.events) > 0 {
+		return sh.events[0].at, true
+	}
+	return 0, false
 }
 
 // next pops the shard's earliest event by (at, seq); the shard must
 // not be idle.
 func (sh *shard) next() event {
-	if sh.laneOff < len(sh.lane) {
-		le := sh.lane[sh.laneOff]
-		// Lane entries hold at == the shard clock at post time; only a
-		// heap entry at the same instant with an older seq may precede
-		// them.
-		if len(sh.events) == 0 || le.at < sh.events[0].at ||
-			(le.at == sh.events[0].at && le.seq < sh.events[0].seq) {
-			sh.lane[sh.laneOff] = event{} // release the closure/proc ref
-			sh.laneOff++
-			if sh.laneOff == len(sh.lane) {
-				sh.lane = sh.lane[:0]
-				sh.laneOff = 0
-			}
-			return le
-		}
+	if !sh.laneFirst() {
+		return sh.events.pop()
 	}
-	return sh.events.pop()
+	le := sh.lane[sh.laneOff]
+	sh.lane[sh.laneOff] = event{} // release the closure/proc ref
+	sh.laneOff++
+	if sh.laneOff == len(sh.lane) {
+		sh.lane = sh.lane[:0]
+		sh.laneOff = 0
+	}
+	return le
 }
 
 // idle reports whether the shard has no queued events.
@@ -366,18 +372,6 @@ type Sim struct {
 	// compares against.
 	noShard bool
 
-	// Winner cache for the coupled cross-shard pop: next() remembers
-	// which shard won the last scan and the best key seen anywhere
-	// else (the runner-up). As long as the winner's head stays below
-	// the runner-up the pop is O(1) instead of O(shards); enqueues to
-	// other shards min-update the runner-up incrementally, and only a
-	// winner switch pays a full rescan.
-	winner      int
-	runnerOK    bool
-	runnerAt    Time
-	runnerShard int
-	runnerSeq   uint64
-
 	// workers > 0 with more than one shard arms the parallel engine
 	// (parallel.go): Run drains the shards on that many host workers.
 	workers int
@@ -389,7 +383,7 @@ type Sim struct {
 // New returns an empty simulation with the clock at zero and a single
 // event shard.
 func New() *Sim {
-	return &Sim{shards: []shard{newShard()}, winner: -1}
+	return &Sim{shards: []shard{newShard()}}
 }
 
 // Now returns the current virtual time of the coupled scheduler. While
@@ -435,8 +429,6 @@ func (s *Sim) Processed() uint64 {
 // canonical (at, shard, seq) key.
 func (s *Sim) AddShard() int {
 	s.shards = append(s.shards, newShard())
-	s.winner = -1
-	s.runnerOK = false
 	return len(s.shards) - 1
 }
 
@@ -454,22 +446,16 @@ func (s *Sim) SetParallel(workers int) {
 	s.workers = max(workers, 0)
 }
 
-// keyLess orders the canonical (at, shard, seq) event key.
-func keyLess(a1 Time, s1 int, q1 uint64, a2 Time, s2 int, q2 uint64) bool {
-	if a1 != a2 {
-		return a1 < a2
-	}
-	if s1 != s2 {
-		return s1 < s2
-	}
-	return q1 < q2
-}
-
 // routePost is the single enqueue path: e goes to shard tgt with a seq
-// from tgt's stream.
+// from tgt's stream. Every posting and spawning entry funnels here, so
+// this is also the one causality check: nothing may land before the
+// target shard's clock.
 func (s *Sim) routePost(tgt int, e event) {
 	if s.noShard {
 		tgt = 0
+	}
+	if floor := s.ShardNow(tgt); e.at < floor {
+		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", e.at, floor))
 	}
 	sh := &s.shards[tgt]
 	sh.seq++
@@ -479,41 +465,12 @@ func (s *Sim) routePost(tgt int, e event) {
 	} else {
 		sh.events.push(e)
 	}
-	s.noteEnqueue(tgt, e.at, e.seq)
 }
 
-// noteEnqueue keeps the coupled pop's runner-up key fresh: an enqueue
-// to a non-winner shard can only lower that shard's head, so folding
-// its key into the cached runner-up preserves "runner-up ≤ every
-// non-winner head" without rescanning. Armed drains clear the winner,
-// so this never writes while shards drain in parallel.
-func (s *Sim) noteEnqueue(k int, at Time, seq uint64) {
-	w := s.winner
-	if w < 0 || k == w {
-		return
-	}
-	if !s.runnerOK || keyLess(at, k, seq, s.runnerAt, s.runnerShard, s.runnerSeq) {
-		s.runnerAt, s.runnerShard, s.runnerSeq, s.runnerOK = at, k, seq, true
-	}
-}
-
-// post schedules fn to run at time at on the current coupled dispatch
-// context's shard. fn executes on the scheduler goroutine; it must not
-// block. Not for use from armed workloads — those post through a Proc
-// context.
-func (s *Sim) post(at Time, fn func()) {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", at, s.now))
-	}
-	s.routePost(s.cur, event{at: at, fn: fn})
-}
-
-// postResume schedules p to be resumed at time at without allocating a
-// closure, on p's shard.
-func (s *Sim) postResume(at Time, p *Proc) {
-	if floor := s.ShardNow(p.shard); at < floor {
-		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", at, floor))
-	}
+// wakeAt schedules p to be resumed at time at, on p's shard, without
+// allocating a closure. A cross-shard waker while armed is out of
+// contract (see Cond).
+func (s *Sim) wakeAt(at Time, p *Proc) {
 	s.routePost(p.shard, event{at: at, p: p, pgen: p.gen})
 }
 
@@ -527,66 +484,42 @@ func (s *Sim) pending() bool {
 	return false
 }
 
-// peekAt returns the timestamp of the earliest queued event; pending
-// must be true.
-func (s *Sim) peekAt() Time {
-	best := Time(0)
-	found := false
+// minShard returns the shard holding the globally earliest event by the
+// canonical (at, shard, seq) key, and that event's time; k is -1 when
+// every shard is idle. seq only orders events within a shard, which
+// peek already did, so scanning the shards in index order with a strict
+// < realises the key: at an equal time the lower shard wins. The scan
+// is O(shards) per pop, and it runs only for coupled multi-shard
+// dispatch — armed traffic drains shard by shard, and single-shard
+// simulations never reach it.
+func (s *Sim) minShard() (k int, at Time) {
+	k = -1
 	for i := range s.shards {
-		if at, _, ok := s.shards[i].peek(); ok {
-			if !found || at < best {
-				best, found = at, true
-			}
+		if a, ok := s.shards[i].peek(); ok && (k < 0 || a < at) {
+			k, at = i, a
 		}
 	}
-	return best
+	return k, at
 }
 
-// next pops the globally earliest event by the canonical
-// (at, shard, seq) key and records its shard as the current dispatch
-// context; pending must be true. With one shard this is the historical
-// single-queue pop. With several, the winner cache makes the common
-// case — the same shard winning repeatedly — O(1): the full scan runs
-// only when the cached winner empties or its head falls behind the
-// cached runner-up.
-func (s *Sim) next() event {
-	if len(s.shards) == 1 {
-		s.cur = 0
-		return s.shards[0].next()
+// step pops the globally earliest event, records its shard as the
+// current dispatch context, advances the global clock to it and
+// dispatches it; some event must be pending. With one shard this is
+// the historical single-queue pop.
+func (s *Sim) step() {
+	s.cur = 0
+	if len(s.shards) > 1 {
+		s.cur, _ = s.minShard()
 	}
-	if w := s.winner; w >= 0 {
-		if at, seq, ok := s.shards[w].peek(); ok &&
-			(!s.runnerOK || keyLess(at, w, seq, s.runnerAt, s.runnerShard, s.runnerSeq)) {
-			s.cur = w
-			return s.shards[w].next()
-		}
-	}
-	best, second := -1, -1
-	var bAt, rAt Time
-	var bSeq, rSeq uint64
-	for i := range s.shards {
-		at, seq, ok := s.shards[i].peek()
-		if !ok {
-			continue
-		}
-		if best < 0 || keyLess(at, i, seq, bAt, best, bSeq) {
-			second, rAt, rSeq = best, bAt, bSeq
-			best, bAt, bSeq = i, at, seq
-		} else if second < 0 || keyLess(at, i, seq, rAt, second, rSeq) {
-			second, rAt, rSeq = i, at, seq
-		}
-	}
-	s.winner = best
-	s.runnerOK = second >= 0
-	if s.runnerOK {
-		s.runnerAt, s.runnerShard, s.runnerSeq = rAt, second, rSeq
-	}
-	s.cur = best
-	return s.shards[best].next()
+	sh := &s.shards[s.cur]
+	e := sh.next()
+	s.now = e.at
+	s.dispatch(sh, e)
 }
 
-// dispatch runs one event on sh.
+// dispatch advances sh's clock to e and runs it.
 func (s *Sim) dispatch(sh *shard, e event) {
+	sh.now = e.at
 	sh.processed++
 	if e.p != nil {
 		if e.pgen == e.p.gen {
@@ -597,24 +530,26 @@ func (s *Sim) dispatch(sh *shard, e event) {
 	e.fn()
 }
 
-// At schedules fn to run at absolute virtual time at, on the current
-// coupled dispatch context's shard. fn runs in scheduler context and
-// must not block; spawn a proc for blocking work.
-func (s *Sim) At(at Time, fn func()) { s.post(at, fn) }
-
 // After schedules fn to run d nanoseconds from now, on the current
-// coupled dispatch context's shard.
-func (s *Sim) After(d Time, fn func()) { s.post(s.now+d, fn) }
+// coupled dispatch context's shard. fn runs in scheduler context and
+// must not block; spawn a proc for blocking work. Not for use from
+// armed workloads — those post through a Proc context.
+func (s *Sim) After(d Time, fn func()) { s.routePost(s.cur, event{at: s.now + d, fn: fn}) }
 
 // AtOn schedules fn at absolute time at on an explicit shard. It is
 // the shard-safe variant for layers that hold a shard index rather
 // than a Proc context (a device's wakeup timer): while armed the
 // caller must be executing on that same shard.
-func (s *Sim) AtOn(k int, at Time, fn func()) {
-	if floor := s.ShardNow(k); at < floor {
-		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", at, floor))
-	}
-	s.routePost(k, event{at: at, fn: fn})
+func (s *Sim) AtOn(k int, at Time, fn func()) { s.routePost(k, event{at: at, fn: fn}) }
+
+// spawn is the one spawn body: a new proc resident on shard k that
+// begins executing at time at, running fn(p) or, closure-free,
+// fnArg(p, arg).
+func (s *Sim) spawn(k int, at Time, name string, fn func(*Proc), fnArg func(*Proc, any), arg any) *Proc {
+	p := s.allocProcOn(k, name)
+	p.fn, p.fnArg, p.arg = fn, fnArg, arg
+	s.wakeAt(at, p)
+	return p
 }
 
 // Spawn creates a proc that begins executing fn at the current virtual
@@ -622,7 +557,7 @@ func (s *Sim) AtOn(k int, at Time, fn func()) {
 // The proc inherits the spawning context's shard. From a running proc
 // in a parallel workload, use Proc.Spawn instead.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	return s.SpawnAt(s.now, name, fn)
+	return s.spawn(s.curShard(), s.now, name, fn, nil, nil)
 }
 
 // SpawnOn is Spawn with an explicit shard affinity: the proc's resume
@@ -632,29 +567,12 @@ func (s *Sim) SpawnOn(shardIdx int, name string, fn func(p *Proc)) *Proc {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		panic(fmt.Sprintf("sim: SpawnOn shard %d of %d", shardIdx, len(s.shards)))
 	}
-	p := s.allocProcOn(shardIdx, name)
-	p.fn = fn
-	s.postResume(s.now, p)
-	return p
+	return s.spawn(shardIdx, s.now, name, fn, nil, nil)
 }
 
 // SpawnAt creates a proc that begins executing fn at virtual time at.
 func (s *Sim) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
-	p := s.allocProcOn(s.curShard(), name)
-	p.fn = fn
-	s.postResume(at, p)
-	return p
-}
-
-// SpawnArg is Spawn for hot paths: fn is a shared, pre-built function
-// value and arg carries the per-spawn state, so spawning allocates no
-// closure. Pointer-typed args avoid the interface boxing allocation.
-func (s *Sim) SpawnArg(name string, fn func(p *Proc, arg any), arg any) *Proc {
-	p := s.allocProcOn(s.curShard(), name)
-	p.fnArg = fn
-	p.arg = arg
-	s.postResume(s.now, p)
-	return p
+	return s.spawn(s.curShard(), at, name, fn, nil, nil)
 }
 
 // curShard is the spawn affinity of the coupled dispatch context.
@@ -669,36 +587,20 @@ func (s *Sim) curShard() int {
 // calling proc's current time. This is the spawn to use from procs in
 // parallel workloads: it touches only shard-local state.
 func (p *Proc) Spawn(name string, fn func(q *Proc)) *Proc {
-	s := p.sim
-	q := s.allocProcOn(p.shard, name)
-	q.fn = fn
-	s.postResume(p.Now(), q)
-	return q
+	return p.sim.spawn(p.shard, p.Now(), name, fn, nil, nil)
 }
 
-// SpawnArg is the closure-free Spawn from a proc context.
+// SpawnArg is Spawn for hot paths: fn is a shared, pre-built function
+// value and arg carries the per-spawn state, so spawning allocates no
+// closure. Pointer-typed args avoid the interface boxing allocation.
 func (p *Proc) SpawnArg(name string, fn func(q *Proc, arg any), arg any) *Proc {
-	s := p.sim
-	q := s.allocProcOn(p.shard, name)
-	q.fnArg = fn
-	q.arg = arg
-	s.postResume(p.Now(), q)
-	return q
+	return p.sim.spawn(p.shard, p.Now(), name, nil, fn, arg)
 }
 
 // After schedules fn d nanoseconds after the calling proc's current
 // time, on the proc's shard. fn runs in scheduler context.
 func (p *Proc) After(d Time, fn func()) {
-	p.At(p.Now()+d, fn)
-}
-
-// At schedules fn at absolute time at on the calling proc's shard.
-func (p *Proc) At(at Time, fn func()) {
-	s := p.sim
-	if floor := s.ShardNow(p.shard); at < floor {
-		panic(fmt.Sprintf("sim: event posted in the past (%v < %v)", at, floor))
-	}
-	s.routePost(p.shard, event{at: at, fn: fn})
+	p.sim.routePost(p.shard, event{at: p.Now() + d, fn: fn})
 }
 
 // allocProcOn hands out a proc resident on shard k for a new logical
@@ -815,21 +717,13 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %d", d))
 	}
-	s := p.sim
-	s.postResume(p.Now()+d, p)
+	p.sim.wakeAt(p.Now()+d, p)
 	p.park()
 }
 
 // Yield lets all other events scheduled at the current instant on the
 // proc's shard run before the proc continues.
 func (p *Proc) Yield() { p.Sleep(0) }
-
-// wakeAt schedules p to be resumed at absolute time at. Wakeups route
-// through p's shard; a cross-shard waker while armed is out of
-// contract (see Cond).
-func (s *Sim) wakeAt(at Time, p *Proc) {
-	s.postResume(at, p)
-}
 
 // Run processes events until the event queue is empty. Procs parked on
 // conditions with no pending wakeups remain parked (idle servers); call
@@ -853,11 +747,7 @@ func (s *Sim) Run() {
 			s.runDrains() // leaves every shard idle, or panics
 			return
 		}
-		e := s.next()
-		s.now = e.at
-		sh := &s.shards[s.cur]
-		sh.now = e.at
-		s.dispatch(sh, e)
+		s.step()
 	}
 }
 
@@ -879,12 +769,8 @@ func (s *Sim) RunUntil(t Time) int {
 	s.running = true
 	defer func() { s.running = false }()
 	n := 0
-	for s.pending() && s.peekAt() <= t {
-		e := s.next()
-		s.now = e.at
-		sh := &s.shards[s.cur]
-		sh.now = e.at
-		s.dispatch(sh, e)
+	for k, at := s.minShard(); k >= 0 && at <= t; k, at = s.minShard() {
+		s.step()
 		n++
 	}
 	if s.now < t {
@@ -899,8 +785,6 @@ func (s *Sim) RunUntil(t Time) int {
 // functions, or Shutdown will deadlock.
 func (s *Sim) Shutdown() {
 	s.killing = true
-	s.winner = -1
-	s.runnerOK = false
 	for si := range s.shards {
 		sh := &s.shards[si]
 		if sh.events != nil {

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -92,6 +93,43 @@ func TestNegativeSleepPanics(t *testing.T) {
 	s.Run()
 	if !<-panicked {
 		t.Fatal("negative sleep did not panic")
+	}
+}
+
+// TestPastPostPanics checks the one causality check every posting and
+// spawning entry funnels through: nothing may land before the target
+// shard's clock. Each entry is called from a proc on shard 1 at t=10,
+// aiming one nanosecond into the past.
+func TestPastPostPanics(t *testing.T) {
+	nop := func() {}
+	cases := []struct {
+		name string
+		post func(s *Sim, p *Proc)
+	}{
+		{"Sim.After", func(s *Sim, p *Proc) { s.After(-1, nop) }},
+		{"Sim.AtOn", func(s *Sim, p *Proc) { s.AtOn(0, p.Now()-1, nop) }},
+		{"Sim.SpawnAt", func(s *Sim, p *Proc) { s.SpawnAt(p.Now()-1, "late", func(*Proc) {}) }},
+		{"Proc.After", func(s *Sim, p *Proc) { p.After(-1, nop) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			s.AddShard()
+			var got any
+			s.SpawnOn(1, "poster", func(p *Proc) {
+				p.Sleep(10)
+				defer func() {
+					got = recover()
+					panic(killed{}) // unwind cleanly
+				}()
+				tc.post(s, p)
+			})
+			s.Run()
+			s.Shutdown()
+			if msg, _ := got.(string); !strings.Contains(msg, "event posted in the past") {
+				t.Fatalf("recovered %v, want an \"event posted in the past\" panic", got)
+			}
+		})
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/nvme"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // small builds a quick noisy-neighbor scenario for tests.
@@ -149,8 +150,8 @@ func TestTenantStorm(t *testing.T) {
 	if r.Lib.Fallbacks > 0 && r.Ops != 1500 {
 		t.Error("fallbacks lost requests")
 	}
-	if r.PeakBacklog < burstArrivals {
-		t.Errorf("peak backlog %d, want ≥ burst size %d", r.PeakBacklog, burstArrivals)
+	if r.PeakBacklog < workload.BurstArrivals {
+		t.Errorf("peak backlog %d, want ≥ burst size %d", r.PeakBacklog, workload.BurstArrivals)
 	}
 }
 

@@ -56,6 +56,12 @@ func ValidProcess(name Process) bool {
 	return false
 }
 
+// BurstArrivals is the number of consecutive arrivals an injected
+// tenant-storm spike (faults.SiteTenantBurst) compresses to a single
+// instant. Both traffic tiers use it, so -faults tenant-storm stresses
+// them the same way.
+const BurstArrivals = 32
+
 // DefaultZipfTheta is the YCSB skew parameter.
 const DefaultZipfTheta = 0.99
 
