@@ -5,16 +5,18 @@
 // nanosecond clock instead of wall-clock time, so results are exact and
 // reproducible regardless of the Go runtime's scheduling behaviour.
 //
-// The kernel runs simulated processes (Proc) cooperatively: control
-// transfers between a scheduler context and procs through a strict
-// channel handshake. Events that fire at the same virtual instant run
-// in the order they were posted.
+// The kernel runs simulated processes (Proc) cooperatively: each proc
+// is a Go runtime coroutine (iter.Pull, proc.go), and control passes
+// between the dispatching context and a proc by a direct coroutine
+// switch — resume calls the coroutine's next, park its yield — with no
+// trip through the Go scheduler. Events that fire at the same virtual
+// instant run in the order they were posted.
 //
 // The dispatch hot path is built for throughput (DESIGN.md §12):
 // same-instant events go through a FIFO staging lane instead of the
 // heap (no sift traffic for wakeup storms), finished procs park their
-// goroutines in a free pool for reuse by later Spawns (no goroutine,
-// stack, or channel churn in steady state), and Proc.SpawnArg avoids
+// coroutines in a free pool for reuse by later Spawns (no coroutine or
+// stack churn in steady state), and Proc.SpawnArg avoids
 // the per-spawn closure allocation on the device's per-command path.
 // Every post and spawn funnels through one enqueue path (routePost),
 // which also holds the one "posted in the past" check.
@@ -195,18 +197,18 @@ type shard struct {
 	seq       uint64
 	processed uint64
 
-	// Proc machinery: the handshake channel and the pools of procs
-	// whose resume events route through this shard. Per-shard pools
-	// keep spawn/park/finish free of cross-shard traffic in parallel
-	// runs; proc goroutines are shard-resident for their lifetime.
-	yield      chan struct{}
+	// Proc machinery: the pools of procs whose resume events route
+	// through this shard. Per-shard pools keep spawn/park/finish free
+	// of cross-shard traffic in parallel runs; procs are shard-resident
+	// for their lifetime, so only the context draining the shard ever
+	// switches into their coroutines.
 	procs      []*Proc
 	free       []*Proc
 	nextProcID uint64
 }
 
 func newShard() shard {
-	return shard{events: newEventHeap(), yield: make(chan struct{})}
+	return shard{events: newEventHeap()}
 }
 
 // laneFirst reports whether the shard's next event is the lane front:
@@ -266,25 +268,31 @@ const (
 	procRunning
 	procParked
 	procDone
-	// procIdle marks a finished proc whose goroutine is parked in the
-	// spawn pool, waiting for a later Spawn to reuse it.
+	// procIdle marks a finished proc whose coroutine is suspended in
+	// the spawn pool, waiting for a later Spawn to reuse it.
 	procIdle
 )
 
 // Proc is a simulated thread of execution. A Proc may only call
 // blocking methods (Sleep, Cond.Wait, Resource.Acquire, ...) from its
-// own goroutine while it is the running proc.
+// own coroutine while it is the running proc.
 //
-// Proc objects (and their goroutines) are recycled: when fn returns,
+// Proc objects (and their coroutines) are recycled: when fn returns,
 // the proc parks in its shard's free pool and a later Spawn may hand
 // it a new identity. ID() distinguishes logical spawns across reuse —
 // two spawns never share an ID even when they share a *Proc.
 type Proc struct {
 	sim   *Sim
 	name  string
-	wake  chan struct{}
 	state procState
 	trace any
+
+	// next, yield and stop drive the proc's coroutine (proc.go): the
+	// dispatching context switches in with next, the proc switches
+	// back out with yield, and Shutdown unwinds it with stop.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// shard is the event lane the proc's resumes route to. Procs are
 	// shard-resident: the shard is fixed at first allocation (from the
@@ -376,7 +384,6 @@ type Sim struct {
 	// (parallel.go): Run drains the shards on that many host workers.
 	workers int
 
-	killing bool
 	running bool
 }
 
@@ -603,115 +610,6 @@ func (p *Proc) After(d Time, fn func()) {
 	p.sim.routePost(p.shard, event{at: p.Now() + d, fn: fn})
 }
 
-// allocProcOn hands out a proc resident on shard k for a new logical
-// spawn, recycling a finished proc's object and goroutine when one is
-// free. Must run on a context that owns shard k (the coupled
-// scheduler, or k's worker while armed).
-func (s *Sim) allocProcOn(k int, name string) *Proc {
-	sh := &s.shards[k]
-	var p *Proc
-	if n := len(sh.free); n > 0 {
-		p = sh.free[n-1]
-		sh.free[n-1] = nil
-		sh.free = sh.free[:n-1]
-		p.name = name
-		p.state = procNew
-	} else {
-		p = &Proc{sim: s, name: name, wake: make(chan struct{}), state: procNew, shard: k}
-		sh.procs = append(sh.procs, p)
-		go s.procLoop(p)
-	}
-	sh.nextProcID++
-	p.id = uint64(k)<<48 | sh.nextProcID
-	return p
-}
-
-// procLoop is the body of every proc goroutine: serve one assignment,
-// then park in the shard's free pool until the next Spawn reuses the
-// proc (or Shutdown unwinds it).
-func (s *Sim) procLoop(p *Proc) {
-	for {
-		<-p.wake
-		if s.killing {
-			s.finish(p)
-			return
-		}
-		if !s.runAssignment(p) {
-			return
-		}
-	}
-}
-
-// runAssignment executes p's current fn, reporting whether the
-// goroutine should keep serving recycled assignments.
-func (s *Sim) runAssignment(p *Proc) (again bool) {
-	sh := &s.shards[p.shard]
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); !ok {
-				panic(r)
-			}
-			s.finish(p) // unwound by Shutdown mid-run
-			return
-		}
-		if s.killing {
-			s.finish(p)
-			return
-		}
-		// Normal completion: recycle before yielding so the scheduler
-		// may hand the proc straight to the next Spawn. The goroutine
-		// re-parks on p.wake, which the strict handshake guarantees it
-		// reaches before any wake is sent.
-		p.state = procIdle
-		p.gen++
-		p.fn = nil
-		p.fnArg = nil
-		p.arg = nil
-		p.trace = nil
-		sh.free = append(sh.free, p)
-		again = true
-		sh.yield <- struct{}{}
-	}()
-	p.state = procRunning
-	if p.fnArg != nil {
-		p.fnArg(p, p.arg)
-	} else {
-		p.fn(p)
-	}
-	return
-}
-
-// finish marks p done and returns control to the scheduler.
-func (s *Sim) finish(p *Proc) {
-	p.state = procDone
-	s.shards[p.shard].yield <- struct{}{}
-}
-
-// resume hands control to p and blocks the dispatching context until p
-// parks or finishes. It must only run on the context that owns p's
-// shard.
-func (s *Sim) resume(p *Proc) {
-	if p.state == procDone || p.state == procIdle {
-		return
-	}
-	p.state = procRunning
-	p.wake <- struct{}{}
-	<-s.shards[p.shard].yield
-}
-
-// park suspends the calling proc until it is resumed. The proc must
-// already have arranged for a wakeup (an event, cond membership, ...).
-func (p *Proc) park() {
-	s := p.sim
-	p.state = procParked
-	s.shards[p.shard].yield <- struct{}{}
-	<-p.wake
-	if s.killing {
-		panic(killed{})
-	}
-	p.state = procRunning
-}
-
 // Sleep advances the proc's virtual time by d. d must be >= 0.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
@@ -780,11 +678,11 @@ func (s *Sim) RunUntil(t Time) int {
 }
 
 // Shutdown unwinds every parked, idle, or not-yet-started proc so
-// their goroutines exit. Pending events are discarded. The simulation
-// must not be used afterwards. Procs must not park inside deferred
-// functions, or Shutdown will deadlock.
+// their coroutines exit. Pending events are discarded. The simulation
+// must not be used afterwards. A parked proc unwinds through its
+// defers; a defer that parks again unwinds the same way, and a proc a
+// defer spawns with Proc.Spawn is stopped before it starts.
 func (s *Sim) Shutdown() {
-	s.killing = true
 	for si := range s.shards {
 		sh := &s.shards[si]
 		if sh.events != nil {
@@ -799,11 +697,11 @@ func (s *Sim) Shutdown() {
 		sh.free = nil
 	}
 	for si := range s.shards {
-		sh := &s.shards[si]
-		for _, p := range sh.procs {
+		for i := 0; i < len(s.shards[si].procs); i++ {
+			p := s.shards[si].procs[i]
 			if p.state == procParked || p.state == procNew || p.state == procIdle {
-				p.wake <- struct{}{}
-				<-s.shards[p.shard].yield
+				p.stop()
+				p.state = procDone
 			}
 		}
 	}
