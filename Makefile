@@ -12,7 +12,7 @@ GATE_BENCH := Fig6LatBW|Fig9Scaling|Direct4KRead|BootDirect4KRead|SimThroughput|
 
 # BENCH_SNAPSHOT is the committed benchmark snapshot: bench-json
 # writes it and bench-check gates against it.
-BENCH_SNAPSHOT ?= BENCH_PR15.json
+BENCH_SNAPSHOT ?= BENCH_PR16.json
 
 all: check
 

@@ -80,13 +80,14 @@ func TestDirect4KReadAllocBudget(t *testing.T) {
 // TestBootDirect4KReadAllocBudget bounds the boot-inclusive path —
 // Mkfs, Mount, page tables, queues, one read, teardown — so boot-cost
 // regressions stay visible even though the steady-state gate above
-// no longer sees them. (The seed measured ~2900; pooling through
-// PR 6 brought it under 200.)
+// no longer sees them. (The seed measured ~2900; pooling brought it
+// under 200, coroutine procs raised it to ~219, and running the
+// device's command path as scheduler callbacks brought it to ~190.)
 func TestBootDirect4KReadAllocBudget(t *testing.T) {
 	if os.Getenv("BENCH_CHECK") == "" {
 		t.Skip("set BENCH_CHECK=1 to enforce the allocation budget (make bench-check)")
 	}
-	const budget = 250
+	const budget = 200
 	direct4KRead(t) // warm sync.Pools and lazy global state
 	allocs := testing.AllocsPerRun(5, func() { direct4KRead(t) })
 	t.Logf("BootDirect4KRead: %.0f allocs/op (budget %d)", allocs, budget)

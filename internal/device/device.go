@@ -10,6 +10,14 @@
 // token-bucket variants for the tenancy plane, see arbiter.go) and
 // served by a bounded pool of internal channels.
 //
+// The command path holds no simulated thread. Fetching and serving run
+// as scheduler callbacks on the device's event shard: the fetch engine
+// (pump) waits on the doorbell with sim.Cond.WaitFn and on a busy
+// channel pool with sim.Resource.AcquireFn, and each admitted command
+// is a pooled state machine whose stages are posted at the instants a
+// serving thread would have resumed. An idle device therefore holds no
+// proc, and a 4 KiB read costs the device no coroutine switch.
+//
 // BypassD extension: a submission entry may carry a VBA, in which case
 // the device issues an ATS translation to the attached IOMMU before
 // (reads) or concurrently with (writes) the media access (paper §4.3).
@@ -32,7 +40,7 @@ type Config struct {
 	DevID         uint8
 	CapacityBytes int64
 
-	// Shard is the simulation event shard the device's procs run on
+	// Shard is the simulation event shard the device's callbacks run on
 	// (sim.AddShard). Topology boot assigns one shard per device so
 	// each device's command stream lives in its own lane; 0 — shard 0 —
 	// is the single-device default.
@@ -107,11 +115,33 @@ func TLCFlash(capacity int64) Config {
 	}
 }
 
-// command is an admitted SQE with its originating queue.
+// command is one admitted SQE on its way through the device: a pooled
+// state machine whose stages run as scheduler callbacks on the
+// device's shard. step is bound to run once, when the command is first
+// allocated, so posting a stage allocates nothing.
 type command struct {
+	d   *SSD
 	sqe nvme.SQE
 	q   *nvme.QueuePair
+
+	next   stage
+	status nvme.Status
+	effTr  sim.Time        // translation exposed in the service window (Fig. 5)
+	segs   []iommu.Segment // resolved media segments, held until the transfer
+	step   func()
 }
+
+// stage is the point a command resumes at when its step runs.
+type stage uint8
+
+const (
+	stageStart      stage = iota // admitted: service begins
+	stageFlushDrain              // flush woken by writesDrained
+	stageFlushDone               // flush latency elapsed
+	stageTranslate               // injected latency spike elapsed
+	stageMedia                   // translation and media time elapsed
+	stageFinish                  // timeout or failed translation elapsed
+)
 
 // Stats aggregates device activity.
 type Stats struct {
@@ -139,23 +169,21 @@ type SSD struct {
 
 	stats   Stats
 	opsByQ  map[int]int64
-	stopped bool
 	claimer string
 
-	// segFree recycles per-command segment buffers between serve
-	// invocations so the resolve→moveData path allocates nothing in
-	// steady state. Safe without locks: the simulation runs exactly
-	// one goroutine at a time.
+	// segFree recycles per-command segment buffers between commands so
+	// the resolve→moveData path allocates nothing in steady state. Safe
+	// without locks: the device's callbacks all run on its shard.
 	segFree [][]iommu.Segment
 
-	// Per-command spawn path, precomputed once so dispatch allocates
-	// nothing in steady state: the channel-proc name (the old
-	// cfg.Name+"-chan" concat allocated per command), a shared serve
-	// trampoline for sim.SpawnArg (no per-command closure), and a free
-	// list of command boxes handed through the trampoline's arg.
-	chanName string
-	serveFn  func(p *sim.Proc, arg any)
-	cmdFree  []*command
+	// The fetch engine's continuations, bound once so that waiting
+	// allocates nothing: pumpFn re-runs pump after a doorbell, and
+	// admitFn starts the command held in blocked once a channel passes
+	// to it. cmdFree pools retired commands.
+	pumpFn  func()
+	admitFn func()
+	blocked *command
+	cmdFree []*command
 
 	// window offsets every media sector: non-zero for an SR-IOV-style
 	// virtual function carved out of a parent device (§5.2).
@@ -200,40 +228,42 @@ func NewWithStore(s *sim.Sim, cfg Config, st *storage.Store) *SSD {
 		opsByQ:        make(map[int]int64),
 	}
 	d.initSites()
-	d.initHotPath()
-	// The dispatch proc anchors the device's shard: serve procs spawn
-	// from it (inheriting the shard) and doorbell wakeups route to it.
-	s.SpawnOn(cfg.Shard, cfg.Name+"-dispatch", d.dispatch)
+	d.start()
 	return d
 }
 
-// initHotPath precomputes the per-command spawn machinery and the
-// devirtualized arbiter pointer.
-func (d *SSD) initHotPath() {
-	d.chanName = d.cfg.Name + "-chan"
-	d.serveFn = func(p *sim.Proc, arg any) {
-		cb := arg.(*command)
-		c := *cb
-		d.putCmd(cb) // box is free for the next admission; serve owns a copy
-		d.serve(p, c)
-	}
+// start binds the fetch engine's continuations and posts its first
+// run on the device's shard at the current instant.
+func (d *SSD) start() {
 	d.arbRR, _ = d.arb.(*FlatRR)
+	d.pumpFn = d.pump
+	d.admitFn = func() {
+		c := d.blocked
+		d.blocked = nil
+		d.admit(c)
+		d.pump()
+	}
+	d.sim.AtOn(d.cfg.Shard, d.sim.Now(), d.pumpFn)
 }
 
-// getCmd hands out a command box for one admission.
-func (d *SSD) getCmd() *command {
+// getCmd hands out a command for one admission of e from q.
+func (d *SSD) getCmd(e nvme.SQE, q *nvme.QueuePair) *command {
+	var c *command
 	if n := len(d.cmdFree); n > 0 {
-		c := d.cmdFree[n-1]
+		c = d.cmdFree[n-1]
 		d.cmdFree[n-1] = nil
 		d.cmdFree = d.cmdFree[:n-1]
-		return c
+	} else {
+		c = &command{d: d}
+		c.step = c.run
 	}
-	return &command{}
+	c.sqe, c.q = e, q // zero next and status: stageStart, StatusSuccess
+	return c
 }
 
-// putCmd retires a command box, dropping its Buf/Span references.
+// putCmd retires a command, dropping its Buf/Span references.
 func (d *SSD) putCmd(c *command) {
-	*c = command{}
+	*c = command{d: d, step: c.step}
 	d.cmdFree = append(d.cmdFree, c)
 }
 
@@ -286,8 +316,7 @@ func Carve(s *sim.Sim, parent *SSD, name string, devID uint8, baseSector, sector
 	}
 	vf.initSites()
 	vf.SetEnv(parent.inj, parent.reg) // VFs share the machine's planes
-	vf.initHotPath()
-	s.SpawnOn(cfg.Shard, cfg.Name+"-dispatch", vf.dispatch)
+	vf.start()
 	return vf, nil
 }
 
@@ -346,9 +375,6 @@ func (d *SSD) Release(owner string) {
 	}
 }
 
-// Claimer reports the current exclusive owner, if any.
-func (d *SSD) Claimer() string { return d.claimer }
-
 // CreateQueue registers a new queue pair with the device. The PASID
 // is bound to the queue at creation time, as the BypassD kernel driver
 // does, so the IOMMU knows whose page tables to walk (paper §3.3).
@@ -357,7 +383,7 @@ func (d *SSD) CreateQueue(pasid uint32, depth int) (*nvme.QueuePair, error) {
 		return nil, fmt.Errorf("device %s: queue limit reached", d.cfg.Name)
 	}
 	q := nvme.NewQueuePair(d.sim, len(d.queues)+1, pasid, depth)
-	// All queues ring the shared arrival doorbell so the dispatcher
+	// All queues ring the shared arrival doorbell so the fetch engine
 	// wakes regardless of which queue was written.
 	q.Doorbell = d.arrival
 	d.queues = append(d.queues, q)
@@ -395,7 +421,7 @@ func (d *SSD) ArbiterName() string { return d.arb.Name() }
 // arbitrate pops the next command the arbiter grants, reporting
 // ok=false when nothing is eligible (and the refill instant to retry
 // at, if the arbiter is holding back a rate-limited queue).
-func (d *SSD) arbitrate() (command, bool, sim.Time) {
+func (d *SSD) arbitrate() (nvme.SQE, *nvme.QueuePair, bool, sim.Time) {
 	for {
 		var (
 			idx     int
@@ -411,11 +437,11 @@ func (d *SSD) arbitrate() (command, bool, sim.Time) {
 			idx, ok, retryAt = d.arb.Next(d.now(), d.queues)
 		}
 		if !ok {
-			return command{}, false, retryAt
+			return nvme.SQE{}, nil, false, retryAt
 		}
 		q := d.queues[idx]
 		if e, popped := q.PopSQE(); popped {
-			return command{sqe: e, q: q}, true, 0
+			return e, q, true, 0
 		}
 		// The arbiter granted an empty queue (a buggy policy); spin
 		// once more rather than fetch garbage.
@@ -423,7 +449,7 @@ func (d *SSD) arbitrate() (command, bool, sim.Time) {
 }
 
 // scheduleWake arms a timer that rings the arrival doorbell at t, so
-// a dispatcher parked on an all-throttled queue set re-arbitrates
+// a fetch engine waiting on an all-throttled queue set re-arbitrates
 // when the earliest token refills. Earlier pending timers win; a
 // stale later timer fires a harmless spurious broadcast.
 func (d *SSD) scheduleWake(t sim.Time) {
@@ -444,29 +470,37 @@ func (d *SSD) scheduleWake(t sim.Time) {
 // parallel engine is armed it is the correct per-device time.
 func (d *SSD) now() sim.Time { return d.sim.ShardNow(d.cfg.Shard) }
 
-// dispatch is the device's command-fetch engine: admit one command at
-// a time, each onto a free internal channel.
-func (d *SSD) dispatch(p *sim.Proc) {
+// pump is the device's command-fetch engine: it admits one command at
+// a time, each onto a free internal channel, until the arbiter has
+// nothing eligible — it then waits on the doorbell — or every channel
+// is busy, when admitFn resumes it once a channel passes to it.
+func (d *SSD) pump() {
 	for {
-		cmd, ok, retryAt := d.arbitrate()
+		e, q, ok, retryAt := d.arbitrate()
 		if !ok {
 			if retryAt > 0 {
 				d.scheduleWake(retryAt)
 			}
-			d.arrival.Wait(p)
-			continue
+			d.arrival.WaitFn(d.cfg.Shard, d.pumpFn)
+			return
 		}
-		if cmd.sqe.Opcode == nvme.OpWrite {
+		if e.Opcode == nvme.OpWrite {
 			// Counted at admission so a flush admitted later on
 			// cannot overtake an in-flight write.
 			d.writesInFlight++
 		}
-		d.channels.Acquire(p)
-		cb := d.getCmd()
-		*cb = cmd
-		p.SpawnArg(d.chanName, d.serveFn, cb)
+		c := d.getCmd(e, q)
+		if !d.channels.AcquireFn(d.admitFn) {
+			d.blocked = c
+			return
+		}
+		d.admit(c)
 	}
 }
+
+// admit starts serving c, which holds a channel, at the current
+// instant.
+func (d *SSD) admit(c *command) { d.sim.AtOn(d.cfg.Shard, d.now(), c.step) }
 
 // serviceTime returns the media time for a transfer.
 func (d *SSD) serviceTime(op nvme.Opcode, bytes int64) sim.Time {
@@ -482,103 +516,136 @@ func (d *SSD) serviceTime(op nvme.Opcode, bytes int64) sim.Time {
 	}
 }
 
-// serve executes one admitted command on an internal channel.
-func (d *SSD) serve(p *sim.Proc, cmd command) {
-	e := cmd.sqe
-	status := nvme.StatusSuccess
-	sp := e.Span
-	sp.ServiceStart(p.Now())
-	// effTr is the translation time exposed inside the service window
-	// (Fig. 5's "translate" phase): the full walk on reads and
-	// serialized writes, only the non-overlapped excess on overlapped
-	// writes, zero when no VBA is involved.
-	var effTr sim.Time
+// after posts c's stage next dl from now: the command occupies its
+// channel (or waits out the flush latency) in between.
+func (c *command) after(dl sim.Time, next stage) {
+	c.next = next
+	c.d.sim.AtOn(c.d.cfg.Shard, c.d.now()+dl, c.step)
+}
 
-	switch e.Opcode {
-	case nvme.OpFlush:
-		d.channels.Release() // flush does not occupy a media channel
-		for d.writesInFlight > 0 {
-			d.writesDrained.Wait(p)
+// run executes c's next stage on its internal channel.
+func (c *command) run() {
+	d := c.d
+	switch c.next {
+	case stageStart:
+		c.sqe.Span.ServiceStart(d.now())
+		switch c.sqe.Opcode {
+		case nvme.OpFlush:
+			d.channels.Release() // flush does not occupy a media channel
+			c.flush()
+		case nvme.OpRead, nvme.OpWrite, nvme.OpWriteZeroes:
+			if dl, ok := d.inj.FireDelayQ(d.siteDelay, c.q.ID); ok {
+				// Injected latency spike: the command still succeeds.
+				if dl == 0 {
+					dl = 50 * sim.Microsecond
+				}
+				c.after(dl, stageTranslate)
+				return
+			}
+			c.translate()
+		default:
+			c.status = nvme.StatusInvalidField
+			c.finish()
 		}
-		p.Sleep(d.cfg.FlushLatency)
+	case stageFlushDrain:
+		c.flush()
+	case stageFlushDone:
 		d.stats.Flushes++
 		d.mFlushes.Inc()
-		sp.ServiceEnd(p.Now(), 0)
-		d.complete(cmd, nvme.StatusSuccess)
-		return
-
-	case nvme.OpRead, nvme.OpWrite, nvme.OpWriteZeroes:
-		if dl, ok := d.inj.FireDelayQ(d.siteDelay, cmd.q.ID); ok {
-			// Injected latency spike: the command still succeeds.
-			if dl == 0 {
-				dl = 50 * sim.Microsecond
-			}
-			p.Sleep(dl)
-		}
-		if dl, ok := d.inj.FireDelayQ(d.siteTimeout, cmd.q.ID); ok {
-			// Injected command timeout: the command hangs on the
-			// channel, then completes with an error and no media
-			// access, like a controller-side abort.
-			if dl == 0 {
-				dl = 500 * sim.Microsecond
-			}
-			p.Sleep(dl)
-			status = nvme.StatusCommandTimeout
-			break
-		}
-		segs, tlat, st := d.resolve(e, cmd.q.PASID)
-		if st != nvme.StatusSuccess {
-			// Translation failed: the error returns to the process
-			// after the ATS exchange, without media access (§5.3).
-			p.Sleep(tlat)
-			effTr = tlat
-			status = st
-			break
-		}
-		bytes := e.Sectors * storage.SectorSize
-		svc := d.serviceTime(e.Opcode, bytes)
-		if e.Opcode == nvme.OpRead {
-			// Reads serialize translation before media access: the
-			// device needs block addresses before reading (§4.3).
-			p.Sleep(tlat + svc)
-			effTr = tlat
-		} else if d.cfg.SerializeWriteTranslation {
-			p.Sleep(tlat + svc)
-			effTr = tlat
-		} else {
-			// Writes overlap translation with the host-to-device
-			// data transfer, so they see no VBA overhead (§4.3);
-			// only a walk outlasting the transfer is exposed.
-			if tlat > svc {
-				effTr = tlat - svc
-				svc = tlat
-			}
-			p.Sleep(svc)
-		}
-		if d.inj.FireQ(d.siteMedia, cmd.q.ID) {
-			// Injected media error after full service time. The
-			// transfer does not happen, so a failed write leaves the
-			// medium untouched and a retry observes a clean slate.
-			status = nvme.StatusMediaError
-			d.putSegs(segs)
-			break
-		}
-		status = d.moveData(e, segs)
-		d.putSegs(segs)
-
-	default:
-		status = nvme.StatusInvalidField
+		c.sqe.Span.ServiceEnd(d.now(), 0)
+		d.complete(c)
+	case stageTranslate:
+		c.translate()
+	case stageMedia:
+		c.media()
+	case stageFinish:
+		c.finish()
 	}
+}
 
-	if e.Opcode == nvme.OpWrite {
+// flush waits until every write admitted before it has drained, then
+// for the cache flush itself.
+func (c *command) flush() {
+	d := c.d
+	if d.writesInFlight > 0 {
+		c.next = stageFlushDrain
+		d.writesDrained.WaitFn(d.cfg.Shard, c.step)
+		return
+	}
+	c.after(d.cfg.FlushLatency, stageFlushDone)
+}
+
+// translate resolves a data command's media segments and occupies the
+// channel for the translation and media time.
+func (c *command) translate() {
+	d, e := c.d, &c.sqe
+	if dl, ok := d.inj.FireDelayQ(d.siteTimeout, c.q.ID); ok {
+		// Injected command timeout: the command hangs on the channel,
+		// then completes with an error and no media access, like a
+		// controller-side abort.
+		if dl == 0 {
+			dl = 500 * sim.Microsecond
+		}
+		c.status = nvme.StatusCommandTimeout
+		c.after(dl, stageFinish)
+		return
+	}
+	segs, tlat, st := d.resolve(*e, c.q.PASID)
+	if st != nvme.StatusSuccess {
+		// Translation failed: the error returns to the process after
+		// the ATS exchange, without media access (§5.3).
+		c.effTr, c.status = tlat, st
+		c.after(tlat, stageFinish)
+		return
+	}
+	c.segs = segs
+	svc := d.serviceTime(e.Opcode, e.Sectors*storage.SectorSize)
+	if e.Opcode == nvme.OpRead || d.cfg.SerializeWriteTranslation {
+		// Reads serialize translation before media access: the device
+		// needs block addresses before reading (§4.3).
+		c.effTr = tlat
+		c.after(tlat+svc, stageMedia)
+		return
+	}
+	// Writes overlap translation with the host-to-device data
+	// transfer, so they see no VBA overhead (§4.3); only a walk
+	// outlasting the transfer is exposed.
+	if tlat > svc {
+		c.effTr = tlat - svc
+		svc = tlat
+	}
+	c.after(svc, stageMedia)
+}
+
+// media performs the transfer once its service time has elapsed.
+func (c *command) media() {
+	d := c.d
+	if d.inj.FireQ(d.siteMedia, c.q.ID) {
+		// Injected media error after full service time. The transfer
+		// does not happen, so a failed write leaves the medium
+		// untouched and a retry observes a clean slate.
+		c.status = nvme.StatusMediaError
+	} else {
+		c.status = d.moveData(c.sqe, c.segs)
+	}
+	d.putSegs(c.segs)
+	c.segs = nil
+	c.finish()
+}
+
+// finish retires a data command: it drains the write count, frees the
+// channel and posts the completion.
+func (c *command) finish() {
+	d := c.d
+	if c.sqe.Opcode == nvme.OpWrite {
 		d.writesInFlight--
 		if d.writesInFlight == 0 {
 			d.writesDrained.Broadcast()
 		}
 	}
 	d.channels.Release()
-	sp.ServiceEnd(p.Now(), effTr)
-	d.complete(cmd, status)
+	c.sqe.Span.ServiceEnd(d.now(), c.effTr)
+	d.complete(c)
 }
 
 // getSegs returns an empty segment buffer, reusing a retired one when
@@ -678,11 +745,13 @@ func (d *SSD) moveData(e nvme.SQE, segs []iommu.Segment) nvme.Status {
 	return nvme.StatusSuccess
 }
 
-func (d *SSD) complete(cmd command, status nvme.Status) {
-	if !status.OK() {
+// complete posts c's completion and retires c.
+func (d *SSD) complete(c *command) {
+	if !c.status.OK() {
 		d.stats.Faults++
 		d.mErrors.Inc()
 	}
-	d.opsByQ[cmd.q.ID]++
-	cmd.q.PostCQE(nvme.CQE{CID: cmd.sqe.CID, Status: status})
+	d.opsByQ[c.q.ID]++
+	c.q.PostCQE(nvme.CQE{CID: c.sqe.CID, Status: c.status})
+	d.putCmd(c)
 }

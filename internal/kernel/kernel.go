@@ -9,7 +9,7 @@
 // (paper §3.4: the file-table entries carry a DevID so a VBA minted
 // for one device cannot reach another). Each device is a DevNode —
 // the SSD, its mounted file system, and the kernel queue that submits
-// on it — and each node's device procs run on their own event shard,
+// on it — and each node's device events run on their own event shard,
 // merged deterministically by the simulator (DESIGN.md §14).
 package kernel
 
@@ -103,12 +103,12 @@ func ikey(in *ext4.Inode) inoKey { return inoKey{dev: in.Dev, ino: in.Ino} }
 
 // DevNode is one SSD of the machine's topology: the device, its
 // mounted file system, and the kernel queue that submits on it. Each
-// node's device procs run on their own simulator event shard, so an
+// node's device events run on their own simulator event shard, so an
 // N-device machine advances N independent event streams that the
 // scheduler merges deterministically by the global (at, seq) key.
 type DevNode struct {
 	Index int // position in Machine.Nodes
-	Shard int // sim event shard the node's device procs run on
+	Shard int // sim event shard the node's device events run on
 	// MMU is the node's translation agent. One IOMMU per node (one
 	// per root complex, as on a real multi-socket machine) keeps the
 	// whole ATS hot path — IOTLB, paging-structure cache, counters —

@@ -123,3 +123,33 @@ func TestFleetBootErrors(t *testing.T) {
 	}
 	s.Shutdown()
 }
+
+// TestIdleMachineHoldsNoProc: the devices' command paths run as
+// scheduler callbacks, so a booted machine that has gone idle holds no
+// proc — right after boot and again after traffic on both devices.
+// Snapshotting a booted machine depends on this: a proc's coroutine
+// cannot be copied.
+func TestIdleMachineHoldsNoProc(t *testing.T) {
+	s := sim.New()
+	dcfgs := []device.Config{device.OptaneP5800X(testCap), device.OptaneP5800X(testCap)}
+	m, err := NewMachineN(s, DefaultConfig(), dcfgs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if n := s.Live(); n != 0 {
+		t.Fatalf("booted idle machine holds %d live procs, want 0", n)
+	}
+	for node := range m.Nodes {
+		pr := m.NewProcessOn(ext4.Root, node)
+		s.SpawnOn(node, "app", func(p *sim.Proc) {
+			mkFile(t, p, pr, "/f", make([]byte, 16384))
+		})
+	}
+	s.Run()
+	if n := s.Live(); n != 0 {
+		t.Fatalf("machine idle after traffic holds %d live procs, want 0", n)
+	}
+	s.Shutdown()
+	m.ReleaseResources()
+}

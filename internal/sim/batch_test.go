@@ -74,14 +74,22 @@ func laneScenario(seed int64, noLane bool) []string {
 		})
 	}
 	s.Run()
+	// The fast path skips posts (same-instant lane, fast-forwarded
+	// sleeps) but must count every event and land on the same clocks.
+	clocks := make([]Time, s.Shards())
+	for k := range clocks {
+		clocks[k] = s.shards[k].now
+	}
+	log = append(log, fmt.Sprintf("end: processed=%d clocks=%v", s.Processed(), clocks))
 	// Unwind any procs still parked on the cond.
 	s.Shutdown()
 	return log
 }
 
 // TestLaneDispatchEquivalenceProperty pins the staging lane's defining
-// property: batched same-instant dispatch is observationally identical
-// to the heap-only reference scheduler. Any divergence in event order
+// property: batched same-instant dispatch, with fast-forwarded sleeps,
+// is observationally identical to the heap-only reference scheduler —
+// down to the event count and the final clocks. Any divergence in event order
 // cascades through the per-proc RNGs, so a single out-of-order wake
 // diverges the whole trace.
 func TestLaneDispatchEquivalenceProperty(t *testing.T) {

@@ -53,18 +53,6 @@ func (c *CPUSet) lane(p *Proc) *int {
 	return &c.demand[k]
 }
 
-// Cores reports the per-shard core count.
-func (c *CPUSet) Cores() int { return c.cores }
-
-// Demand reports the instantaneous CPU demand summed across shards.
-func (c *CPUSet) Demand() int {
-	n := 0
-	for _, d := range c.demand {
-		n += d
-	}
-	return n
-}
-
 // dilation returns the processor-sharing slowdown factor for the
 // given demand level.
 func (c *CPUSet) dilation(demand int) float64 {
@@ -101,20 +89,6 @@ func (c *CPUSet) BusyWait(p *Proc, cond *Cond) {
 		p.Sleep(c.DeschedulePenalty * Time(over) / Time(*lane))
 	}
 	*lane--
-}
-
-// BusyUntil spins until pred() is true, re-checking after every wakeup
-// of cond. The predicate is evaluated before the first wait.
-func (c *CPUSet) BusyUntil(p *Proc, cond *Cond, pred func() bool) {
-	for !pred() {
-		c.BusyWait(p, cond)
-	}
-}
-
-// BlockedWait parks p on cond without charging CPU demand (the thread
-// sleeps in the kernel awaiting an interrupt).
-func (c *CPUSet) BlockedWait(p *Proc, cond *Cond) {
-	cond.Wait(p)
 }
 
 // Occupy marks the calling thread as permanently CPU-hungry until

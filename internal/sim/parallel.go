@@ -27,6 +27,8 @@ import "sync"
 // touch — the cross-package contract audited in DESIGN.md §15).
 func (s *Sim) drainShard(k int) {
 	sh := &s.shards[k]
+	sh.draining = true
+	defer func() { sh.draining = false }()
 	for !sh.idle() {
 		s.dispatch(sh, sh.next())
 	}

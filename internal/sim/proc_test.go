@@ -127,7 +127,9 @@ func TestProcGoexitPropagates(t *testing.T) {
 
 // BenchmarkProcSwitch measures the proc switch: two procs ping-pong
 // with Sleep(0), so every op is one same-instant post, one lane pop and
-// one resume/park round trip per proc.
+// one resume/park round trip per proc. Sleep's fast-forward never fires
+// here — each proc's wakeup queues behind the other's at the same
+// instant — so this stays the true-switch measure.
 func BenchmarkProcSwitch(b *testing.B) {
 	s := New()
 	body := func(p *Proc) {
@@ -142,6 +144,23 @@ func BenchmarkProcSwitch(b *testing.B) {
 	s.Run()
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/switch")
+	s.Shutdown()
+}
+
+// BenchmarkSleepFastForward measures a sleep that fast-forwards: one
+// proc alone in a Sleep(1) loop, whose every wakeup would be the next
+// event dispatched, so it keeps running with no post, pop or switch.
+func BenchmarkSleepFastForward(b *testing.B) {
+	s := New()
+	s.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.Run()
+	b.StopTimer()
 	s.Shutdown()
 }
 

@@ -3,7 +3,8 @@ package sim
 // Resource is a counted resource with FIFO admission, modelling a
 // server pool (device channels, lock, bus). Acquire blocks the calling
 // proc while all units are in use; Release hands a unit to the oldest
-// waiter.
+// waiter. AcquireFn is the scheduler-context form: its callback queues
+// in the same FIFO as parked procs.
 //
 // A resource is shard-resident: its busy-time accounting reads the
 // clock of the shard it was created for, and in an armed (parallel)
@@ -16,7 +17,7 @@ type Resource struct {
 	shard    int
 	capacity int
 	inUse    int
-	waiters  []*Proc
+	waiters  []waiter
 
 	// busy-time integration for utilisation reporting
 	lastChange Time
@@ -56,13 +57,23 @@ func (r *Resource) account() {
 
 // Acquire blocks p until a unit is available, then claims it.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.capacity {
-		r.account()
-		r.inUse++
+	if r.TryAcquire() {
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters = append(r.waiters, waiter{p: p, k: p.shard})
 	p.park() // woken already holding the unit
+}
+
+// AcquireFn is Acquire for scheduler context. It claims a free unit
+// and reports true, or queues fn and reports false; Release then posts
+// fn on the resource's shard, already holding the unit, at the instant
+// a waiting proc would have resumed.
+func (r *Resource) AcquireFn(fn func()) bool {
+	if r.TryAcquire() {
+		return true
+	}
+	r.waiters = append(r.waiters, waiter{fn: fn, k: r.shard})
+	return false
 }
 
 // TryAcquire claims a unit if one is free, reporting whether it did.
@@ -82,10 +93,11 @@ func (r *Resource) Release() {
 		panic("sim: release of idle resource " + r.name)
 	}
 	if len(r.waiters) > 0 {
-		p := r.waiters[0]
+		w := r.waiters[0]
 		copy(r.waiters, r.waiters[1:])
+		r.waiters[len(r.waiters)-1] = waiter{}
 		r.waiters = r.waiters[:len(r.waiters)-1]
-		r.sim.wakeAt(r.now(), p) // unit passes to p; inUse unchanged
+		r.sim.wake(w, r.now()) // unit passes to w; inUse unchanged
 		return
 	}
 	r.account()
@@ -98,15 +110,6 @@ func (r *Resource) Use(p *Proc, d Time) {
 	p.Sleep(d)
 	r.Release()
 }
-
-// InUse reports the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Capacity reports the unit count.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// QueueLen reports the number of procs waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 // Utilization reports mean units-in-use divided by capacity since the
 // start of the simulation.

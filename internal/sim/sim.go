@@ -16,10 +16,14 @@
 // same-instant events go through a FIFO staging lane instead of the
 // heap (no sift traffic for wakeup storms), finished procs park their
 // coroutines in a free pool for reuse by later Spawns (no coroutine or
-// stack churn in steady state), and Proc.SpawnArg avoids
-// the per-spawn closure allocation on the device's per-command path.
-// Every post and spawn funnels through one enqueue path (routePost),
-// which also holds the one "posted in the past" check.
+// stack churn in steady state), and Proc.SpawnArg avoids the per-spawn
+// closure allocation on the kernel's async-I/O helper path. A Sleep
+// whose wakeup would be the very next event dispatched skips the park
+// altogether (fastForward). Cond.WaitFn and Resource.AcquireFn let
+// scheduler callbacks block like procs do, so a state machine such as
+// the device's command path needs no proc at all. Every post and spawn
+// funnels through one enqueue path (routePost), which also holds the
+// one "posted in the past" check.
 //
 // Multi-device topologies partition the event stream into shards
 // (DESIGN.md §14): each shard owns its own heap + staging lane, clock,
@@ -183,6 +187,11 @@ type shard struct {
 	lane    []event
 	laneOff int
 
+	// draining is set while a parallel worker drains the shard to idle
+	// (drainShard): the shard's stream is then ordered by its own queue
+	// alone, which is all fastForward has to check.
+	draining bool
+
 	// now is the shard's local clock: the timestamp of the last event
 	// dispatched on it. Under the coupled scheduler it trails the
 	// global clock; while armed it runs ahead of it, which stays at
@@ -248,8 +257,14 @@ func (sh *shard) next() event {
 	le := sh.lane[sh.laneOff]
 	sh.lane[sh.laneOff] = event{} // release the closure/proc ref
 	sh.laneOff++
-	if sh.laneOff == len(sh.lane) {
-		sh.lane = sh.lane[:0]
+	if sh.laneOff*2 > len(sh.lane) {
+		// Compact once the front passes half the lane: a same-instant
+		// chain that never lets it drain (two procs ping-ponging with
+		// Sleep(0)) would otherwise grow it without bound. Each entry
+		// moves at most once per halving, so the copy is amortized O(1).
+		n := copy(sh.lane, sh.lane[sh.laneOff:])
+		clear(sh.lane[n:])
+		sh.lane = sh.lane[:n]
 		sh.laneOff = 0
 	}
 	return le
@@ -315,18 +330,12 @@ type Proc struct {
 // Name returns the name given at spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// Sim returns the simulation this proc belongs to.
-func (p *Proc) Sim() *Sim { return p.sim }
-
 // Now returns the proc's current virtual time: its shard's clock or
 // the global clock, whichever is ahead. Under the coupled scheduler
 // this equals the global clock whenever the proc is running; while
 // armed it is the correct local time while the global clock trails at
 // the arming instant.
 func (p *Proc) Now() Time { return p.sim.ShardNow(p.shard) }
-
-// Shard reports the event shard the proc's resumes route through.
-func (p *Proc) Shard() int { return p.shard }
 
 // ID returns the proc's logical spawn identity: unique per Spawn for
 // the lifetime of the Sim, even when the underlying Proc object is
@@ -384,8 +393,14 @@ type Sim struct {
 	// (parallel.go): Run drains the shards on that many host workers.
 	workers int
 
+	// running is set inside Run and RunUntil; until is the last instant
+	// the current one may dispatch (RunUntil's bound, else maxTime).
 	running bool
+	until   Time
 }
+
+// maxTime is the largest representable instant: Run's dispatch bound.
+const maxTime = Time(1<<63 - 1)
 
 // New returns an empty simulation with the clock at zero and a single
 // event shard.
@@ -545,8 +560,8 @@ func (s *Sim) After(d Time, fn func()) { s.routePost(s.cur, event{at: s.now + d,
 
 // AtOn schedules fn at absolute time at on an explicit shard. It is
 // the shard-safe variant for layers that hold a shard index rather
-// than a Proc context (a device's wakeup timer): while armed the
-// caller must be executing on that same shard.
+// than a Proc context (a device's command stages and wakeup timer):
+// while armed the caller must be executing on that same shard.
 func (s *Sim) AtOn(k int, at Time, fn func()) { s.routePost(k, event{at: at, fn: fn}) }
 
 // spawn is the one spawn body: a new proc resident on shard k that
@@ -569,7 +584,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnOn is Spawn with an explicit shard affinity: the proc's resume
 // events route through that shard's lane. Topology boot pins each
-// device's procs (and their tenants' workers) to the device's shard.
+// device's tenant workers to the device's shard.
 func (s *Sim) SpawnOn(shardIdx int, name string, fn func(p *Proc)) *Proc {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		panic(fmt.Sprintf("sim: SpawnOn shard %d of %d", shardIdx, len(s.shards)))
@@ -615,8 +630,52 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative sleep %d", d))
 	}
-	p.sim.wakeAt(p.Now()+d, p)
+	at := p.Now() + d
+	if p.sim.fastForward(p.shard, at) {
+		return
+	}
+	p.sim.wakeAt(at, p)
 	p.park()
+}
+
+// fastForward lets a proc on shard k that sleeps until at keep running
+// when its own wakeup would be the very next event dispatched. It does
+// what posting and popping that wakeup would have done — advance the
+// clocks, consume a seq, count a processed event — and reports true, so
+// the dispatch order, the event count and every clock are unchanged.
+//
+// The wakeup would get a seq above everything queued on k, so it comes
+// next on k exactly when no queued event there has at <= at. Under the
+// coupled scheduler no other shard's head may precede it by
+// (at, shard) either; inside a parallel drain only k's own queue
+// orders its stream. It is off when the proc's resume would not come
+// straight from the dispatch loop: outside Run (Shutdown unwinding a
+// proc whose defer sleeps), past a RunUntil bound, while armed but
+// still coupled (Run's next iteration starts the drains), and in the
+// noLane/noShard reference dispatchers.
+func (s *Sim) fastForward(k int, at Time) bool {
+	if !s.running || at > s.until || s.noLane || s.noShard {
+		return false
+	}
+	sh := &s.shards[k]
+	if next, ok := sh.peek(); ok && next <= at {
+		return false
+	}
+	if !sh.draining {
+		if s.ParallelArmed() {
+			return false
+		}
+		for j := range s.shards {
+			if next, ok := s.shards[j].peek(); ok && (next < at || next == at && j < k) {
+				return false
+			}
+		}
+		s.now = at
+	}
+	sh.seq++
+	sh.now = at
+	sh.processed++
+	return true
 }
 
 // Yield lets all other events scheduled at the current instant on the
@@ -638,7 +697,7 @@ func (s *Sim) Run() {
 	if s.running {
 		panic("sim: Run is not reentrant")
 	}
-	s.running = true
+	s.running, s.until = true, maxTime
 	defer func() { s.running = false }()
 	for s.pending() {
 		if s.ParallelArmed() {
@@ -658,23 +717,23 @@ func (s *Sim) ParallelArmed() bool {
 }
 
 // RunUntil processes events with timestamps <= t, then sets the clock
-// to t. It returns the number of events processed. RunUntil always
-// dispatches coupled (never armed): it is a harness-stepping API.
+// to t. It returns the number of events processed, fast-forwarded
+// sleeps included. RunUntil always dispatches coupled (never armed):
+// it is a harness-stepping API.
 func (s *Sim) RunUntil(t Time) int {
 	if s.running {
 		panic("sim: RunUntil is not reentrant")
 	}
-	s.running = true
+	s.running, s.until = true, t
 	defer func() { s.running = false }()
-	n := 0
+	start := s.Processed()
 	for k, at := s.minShard(); k >= 0 && at <= t; k, at = s.minShard() {
 		s.step()
-		n++
 	}
 	if s.now < t {
 		s.now = t
 	}
-	return n
+	return int(s.Processed() - start)
 }
 
 // Shutdown unwinds every parked, idle, or not-yet-started proc so
