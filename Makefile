@@ -1,6 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
-FUZZ_TARGETS := ./internal/ext4:FuzzExtentTree ./internal/ext4:FuzzRename ./internal/experiments:FuzzReproSpec
+FUZZ_TARGETS := ./internal/ext4:FuzzExtentTree ./internal/ext4:FuzzRename ./internal/experiments:FuzzReproSpec \
+	./internal/tenants:FuzzScenarioConfig ./internal/frontend:FuzzFleetConfig
 
 .PHONY: all build test race vet bench bench-json bench-check bench-driver parallel-equivalence profile fuzz check trace-smoke repro-smoke topology-smoke frontend-smoke clean
 

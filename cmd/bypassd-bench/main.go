@@ -41,6 +41,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/tenants"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // jsonResult is one experiment's machine-readable outcome.
@@ -79,12 +80,9 @@ func tierExperiment(tenantsF, frontF string, devices int) (experiments.Experimen
 	var e experiments.Experiment
 	var table func(seed int64, o core.RunOptions) (*stats.Table, error)
 	if tenantsF != "" {
-		sc, ok := tenants.ByName(tenantsF)
-		if !ok {
-			var err error
-			if sc, err = tenants.Load(tenantsF); err != nil {
-				return e, fmt.Errorf("-tenants %q: not a builtin scenario (try -list) and %v", tenantsF, err)
-			}
+		sc, err := workload.Resolve(tenantsF, tenants.Builtins(), func(sc tenants.Scenario) string { return sc.Name })
+		if err != nil {
+			return e, fmt.Errorf("-tenants %q: %w", tenantsF, err)
 		}
 		if devices > 0 {
 			sc.Devices = devices
@@ -100,12 +98,9 @@ func tierExperiment(tenantsF, frontF string, devices int) (experiments.Experimen
 			return tenants.ReportTable(sc, res), nil
 		}
 	} else {
-		fl, ok := frontend.ByName(frontF)
-		if !ok {
-			var err error
-			if fl, err = frontend.Load(frontF); err != nil {
-				return e, fmt.Errorf("-frontend %q: not a builtin fleet (try -list) and %v", frontF, err)
-			}
+		fl, err := workload.Resolve(frontF, frontend.Builtins(), func(fl frontend.Fleet) string { return fl.Name })
+		if err != nil {
+			return e, fmt.Errorf("-frontend %q: %w", frontF, err)
 		}
 		if devices > 0 {
 			fl.Devices = devices

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fio"
 	"repro/internal/stats"
 	"repro/internal/tenants"
+	"repro/internal/workload"
 )
 
 // A Gate is a tail-latency claim from the evaluation promoted to a
@@ -152,11 +153,11 @@ func gateT8Knee(o Options) (*GateResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		agg := stats.NewHistogram()
+		var all workload.Served
 		for _, r := range res {
-			agg.Merge(r.Sojourn)
+			all.Merge(&r.Served)
 		}
-		return float64(agg.Summarize().P99) / 1e3, nil
+		return float64(all.Sojourn.Summarize().P99) / 1e3, nil
 	})
 	if err != nil {
 		return nil, err

@@ -52,17 +52,29 @@ func TestSweepMapPropagatesError(t *testing.T) {
 	}
 }
 
-func TestSweepMapStopsAfterFailure(t *testing.T) {
-	var calls atomic.Int64
-	_, err := sweepMap(Options{Parallelism: 2}, 1000, func(i int) (int, error) {
-		calls.Add(1)
-		return 0, errors.New("fail fast")
-	})
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	if n := calls.Load(); n >= 1000 {
-		t.Fatalf("expected early stop, ran all %d cells", n)
+// TestSweepMapRunsEveryCellOnFailure: a failing sweep still runs every
+// cell exactly once and returns the lowest-index error, whichever cell
+// failed first on the host, so its side effects (metrics, fault
+// counts) do not depend on -j.
+func TestSweepMapRunsEveryCellOnFailure(t *testing.T) {
+	const n = 200
+	for _, par := range []int{1, 2, 4} {
+		var calls [n]atomic.Int64
+		_, err := sweepMap(Options{Parallelism: par}, n, func(i int) (int, error) {
+			calls[i].Add(1)
+			if i%50 == 7 {
+				return 0, fmt.Errorf("cell %d failed", i)
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "cell 7 failed" {
+			t.Fatalf("par=%d: err=%v, want the lowest-index failure (cell 7)", par, err)
+		}
+		for i := range calls {
+			if c := calls[i].Load(); c != 1 {
+				t.Fatalf("par=%d: cell %d ran %d times, want 1", par, i, c)
+			}
+		}
 	}
 }
 

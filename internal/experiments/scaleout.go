@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/tenants"
+	"repro/internal/workload"
 )
 
 func init() {
@@ -54,30 +55,20 @@ func runT9(o Options) (*Report, error) {
 		if err != nil {
 			return point{}, err
 		}
-		var ops, bytes int64
-		start, end := res[0].Start, res[0].End
-		victims := stats.NewHistogram()
-		var met, vops int64
+		var all, victims workload.Served
+		var bytes int64
 		for ti, r := range res {
-			ops += r.Ops
-			bytes += r.Bytes
-			if r.Start < start {
-				start = r.Start
-			}
-			if r.End > end {
-				end = r.End
-			}
+			all.Merge(&r.Served)
+			bytes += r.Bytes()
 			if ti < devices { // victims come first in ScaleOut order
-				victims.Merge(r.Sojourn)
-				met += r.Compliant
-				vops += r.Ops
+				victims.Merge(&r.Served)
 			}
 		}
 		return point{
-			aggKIOPS: stats.Throughput(ops, end-start) / 1e3,
-			aggMBps:  stats.BytesPerSec(bytes, end-start) / 1e6,
-			s:        victims.Summarize(),
-			comp:     100 * float64(met) / float64(vops),
+			aggKIOPS: all.Throughput() / 1e3,
+			aggMBps:  stats.BytesPerSec(bytes, all.End-all.Start) / 1e6,
+			s:        victims.Sojourn.Summarize(),
+			comp:     100 * float64(victims.SLOMet) / float64(victims.Completed),
 		}, nil
 	})
 	if err != nil {

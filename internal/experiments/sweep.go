@@ -12,50 +12,31 @@ import (
 // seed from o.Seed and i, never from execution order, and the caller
 // renders the returned slice in index order.
 //
-// On error the lowest-index observed failure is returned. Cells
-// already running are not cancelled — they are short — but no new
-// cells start after a failure is observed.
+// Every cell runs even after one fails, and the lowest-index error is
+// returned, so a failed sweep does the same work — and leaves the same
+// metrics and fault counts behind — at any parallelism.
 func sweepMap[T any](o Options, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	workers := o.Parallelism
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
 	errs := make([]error, n)
-	var failed atomic.Bool
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
+	workers := min(o.Parallelism, n)
+	if workers <= 1 {
+		for i := range out {
+			out[i], errs[i] = fn(i)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+					out[i], errs[i] = fn(i)
 				}
-				v, err := fn(i)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					continue
-				}
-				out[i] = v
-			}
-		}()
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

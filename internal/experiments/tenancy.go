@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/tenants"
+	"repro/internal/workload"
 )
 
 func init() {
@@ -73,7 +74,7 @@ func runT7(o Options) (*Report, error) {
 		}
 		return point{
 			s:          victim.Sojourn.Summarize(),
-			compliance: victim.Compliance(),
+			compliance: victim.SLOPct(victim.Tenant.SLO),
 			hogMBps:    hogMBps,
 		}, nil
 	})
@@ -173,24 +174,14 @@ func runT8(o Options) (*Report, error) {
 		if err != nil {
 			return point{}, err
 		}
-		agg := stats.NewHistogram()
-		var ops, met int64
-		var start, end = res[0].Start, res[0].End
+		var all workload.Served
 		for _, r := range res {
-			agg.Merge(r.Sojourn)
-			ops += r.Ops
-			met += r.Compliant
-			if r.Start < start {
-				start = r.Start
-			}
-			if r.End > end {
-				end = r.End
-			}
+			all.Merge(&r.Served)
 		}
 		return point{
-			achieved:   stats.Throughput(ops, end-start) / 1e3,
-			s:          agg.Summarize(),
-			compliance: 100 * float64(met) / float64(ops),
+			achieved:   all.Throughput() / 1e3,
+			s:          all.Sojourn.Summarize(),
+			compliance: 100 * float64(all.SLOMet) / float64(all.Completed),
 		}, nil
 	})
 	if err != nil {

@@ -59,7 +59,7 @@ func TestScaleOutMetricsWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(res) == 0 || res[0].Ops == 0 {
+		if len(res) == 0 || res[0].Completed == 0 {
 			t.Fatal("scale-out run produced no work")
 		}
 		return reg.Render(), events

@@ -42,10 +42,10 @@ const (
 	SiteQueueFull     = "userlib/queue_full"     // submission backpressure
 	SiteRefmapExhaust = "userlib/refmap_exhaust" // give up refmap retries
 
-	// SiteTenantBurst fires in the tenancy plane's open-loop
-	// generators: a hit compresses the next run of arrivals to a
-	// single instant (a correlated arrival spike), the classic way
-	// multi-tenant SLOs die.
+	// SiteTenantBurst fires in the open-loop generators of both
+	// traffic tiers (workload.Pipe): a hit compresses the next run of
+	// arrivals to a single instant (a correlated arrival spike), the
+	// classic way multi-tenant SLOs die.
 	SiteTenantBurst = "tenants/burst"
 
 	SiteCrashPreJournal     = "ext4/crash_pre_journal"     // before any journal write

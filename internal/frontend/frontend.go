@@ -14,7 +14,10 @@
 // bounded backlogs, or CoDel-style sojourn-triggered dequeue drops)
 // sheds load explicitly, so the fleet degrades by rejecting requests
 // instead of by letting every admitted request's latency grow without
-// bound.
+// bound. Each device's generator→pool hand-off is a workload.Pipe
+// with 32 fairness classes, the same pipe internal/tenants runs on;
+// this package supplies the user pick, the admission door, the
+// backend call and the CoDel controller.
 //
 // Determinism follows the tenants plane's contract: one fleet runs on
 // one fresh simulation; each device's generator, admission state,
@@ -28,11 +31,11 @@ package frontend
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/ext4"
-	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -247,27 +250,20 @@ func (fl Fleet) normalized() (Fleet, error) {
 	return fl, nil
 }
 
-// DevResult is one device's slice of a fleet run.
+// DevResult is one device's slice of a fleet run. Its embedded
+// workload.Served holds the arrival window, completions, SLO count,
+// bursts, peak admitted backlog and the sojourn of completed requests;
+// shed requests leave no sojourn sample (their cost is the shed
+// counters).
 type DevResult struct {
 	Device int
+	workload.Served
 
 	Offered     int64 // arrivals generated for this device
 	Admitted    int64 // arrivals that entered the backlog
 	ShedArrival int64 // rejected at the door (token / queue cap)
 	ShedQueue   int64 // dropped at dequeue (CoDel)
-	Completed   int64 // served end to end
-	SLOMet      int64 // completed with sojourn <= SLO (when SLO > 0)
 	UsersServed int64 // distinct users with >= 1 completed request
-	Bursts      int64 // injected arrival spikes (faults.SiteTenantBurst)
-	PeakBacklog int   // largest admitted backlog observed
-
-	Start sim.Time // first arrival
-	End   sim.Time // last completion
-
-	// Sojourn is the arrival-to-completion distribution of completed
-	// requests; shed requests do not appear (their cost is the shed
-	// counters, not a latency sample).
-	Sojourn *stats.Histogram
 }
 
 // Shed is the device's total rejected+dropped count.
@@ -277,6 +273,16 @@ func (d *DevResult) Shed() int64 { return d.ShedArrival + d.ShedQueue }
 type Result struct {
 	Fleet   Fleet
 	Devices []*DevResult
+}
+
+// Total merges the per-device completion records in device order, so
+// the fleet-wide sojourn merge is deterministic.
+func (r *Result) Total() *workload.Served {
+	t := &workload.Served{}
+	for _, d := range r.Devices {
+		t.Merge(&d.Served)
+	}
+	return t
 }
 
 // Offered is the fleet-wide arrival count.
@@ -297,9 +303,6 @@ func (r *Result) UsersServed() int64 {
 	return r.sum(func(d *DevResult) int64 { return d.UsersServed })
 }
 
-// Bursts is the fleet-wide injected-spike count.
-func (r *Result) Bursts() int64 { return r.sum(func(d *DevResult) int64 { return d.Bursts }) }
-
 func (r *Result) sum(f func(*DevResult) int64) int64 {
 	var n int64
 	for _, d := range r.Devices {
@@ -319,71 +322,32 @@ func (r *Result) ShedPct() float64 {
 // Window is the fleet's active span: first arrival to last
 // completion.
 func (r *Result) Window() (start, end sim.Time) {
-	for i, d := range r.Devices {
-		if i == 0 || (d.Start > 0 && d.Start < start) {
-			start = d.Start
-		}
-		if d.End > end {
-			end = d.End
-		}
-	}
-	return start, end
+	t := r.Total()
+	return t.Start, t.End
 }
 
 // Goodput is completed requests/sec over the active window — the
 // throughput the fleet actually delivered, after shedding.
-func (r *Result) Goodput() float64 {
-	start, end := r.Window()
-	return stats.Throughput(r.Completed(), end-start)
-}
+func (r *Result) Goodput() float64 { return r.Total().Throughput() }
 
-// Sojourn merges the per-device sojourn histograms (device order, so
-// the merge is deterministic).
-func (r *Result) Sojourn() *stats.Histogram {
-	h := stats.NewHistogram()
-	for _, d := range r.Devices {
-		h.Merge(d.Sojourn)
-	}
-	return h
-}
+// Sojourn is the fleet-wide sojourn histogram of completed requests.
+func (r *Result) Sojourn() *stats.Histogram { return r.Total().Sojourn }
 
 // SLOCompliance is the fraction of completed requests inside the SLO,
 // in percent; 100 when no SLO was set.
-func (r *Result) SLOCompliance() float64 {
-	if r.Fleet.SLO <= 0 {
-		return 100
-	}
-	done := r.Completed()
-	if done == 0 {
-		return 100
-	}
-	return 100 * float64(r.sum(func(d *DevResult) int64 { return d.SLOMet })) / float64(done)
-}
+func (r *Result) SLOCompliance() float64 { return r.Total().SLOPct(r.Fleet.SLO) }
 
 // request is one admitted arrival.
 type request struct {
-	at    sim.Time
 	pidx  uint64 // index into the device's user partition
 	key   uint64
 	write bool
 }
 
-// classQ is one fairness class's FIFO.
-type classQ struct {
-	q    []request
-	head int
-}
-
-// devState is a device's generator→pool hand-off: fairness queues,
-// admission state, and accounting. Only procs on the device's event
-// shard touch it.
+// devState is a device's front door and CoDel controller around its
+// pipe. Only procs on the device's event shard touch it.
 type devState struct {
-	classes [fairnessClasses]classQ
-	backlog int
-	rr      int // next fairness class to scan
-	genDone bool
-	abort   bool
-	more    *sim.Cond
+	pipe *workload.Pipe[request]
 
 	// Token bucket (AdmitToken).
 	tokens   float64
@@ -394,25 +358,6 @@ type devState struct {
 	tripped    bool
 
 	served []uint64 // bitset over the device's user partition
-}
-
-// dequeue pops the next request round-robin across fairness classes.
-// Callers check backlog > 0 first.
-func (ds *devState) dequeue() request {
-	for {
-		c := &ds.classes[ds.rr%fairnessClasses]
-		ds.rr++
-		if c.head < len(c.q) {
-			req := c.q[c.head]
-			c.head++
-			if c.head == len(c.q) {
-				c.q = c.q[:0]
-				c.head = 0
-			}
-			ds.backlog--
-			return req
-		}
-	}
 }
 
 // codelDrop runs the CoDel control law at dequeue: queueing delay
@@ -489,13 +434,6 @@ func Run(seed int64, fl Fleet, o core.RunOptions) (*Result, uint64, error) {
 		Arbiter:  fl.Arbiter,
 		Setup: func(p *sim.Proc, r *core.PhasedRun) error {
 			sys := r.Sys
-			for d := 0; d < ndev; d++ {
-				res.Devices[d] = &DevResult{Device: d, Sojourn: stats.NewHistogram()}
-				states[d] = &devState{
-					more:   sys.Sim.NewCond(),
-					served: make([]uint64, (partSize(fl.Users, ndev, d)+63)/64),
-				}
-			}
 			// Per-device mounts, store builds, and the worker-process
 			// pool, in device order.
 			for d := 0; d < ndev; d++ {
@@ -515,10 +453,14 @@ func Run(seed int64, fl Fleet, o core.RunOptions) (*Result, uint64, error) {
 				prs[wi] = sys.NewProcessOn(ext4.Root, wi%ndev)
 			}
 			for d := 0; d < ndev; d++ {
-				startDevice(sys, fl, seed, d, states[d], res.Devices[d], r.Fail)
+				res.Devices[d] = &DevResult{Device: d}
+				var err error
+				if states[d], err = startDevice(sys, fl, seed, d, res.Devices[d], r.Fail); err != nil {
+					return err
+				}
 			}
 			for wi := 0; wi < fl.Pool; wi++ {
-				startWorker(sys, bk, fl, wi, prs[wi], states[wi%ndev], res.Devices[wi%ndev], r.Fail)
+				startWorker(sys, bk, fl, wi, prs[wi], states[wi%ndev], res.Devices[wi%ndev])
 			}
 			return nil
 		},
@@ -528,9 +470,7 @@ func Run(seed int64, fl Fleet, o core.RunOptions) (*Result, uint64, error) {
 	}
 	for d := 0; d < ndev; d++ {
 		for _, word := range states[d].served {
-			for ; word != 0; word &= word - 1 {
-				res.Devices[d].UsersServed++
-			}
+			res.Devices[d].UsersServed += int64(bits.OnesCount64(word))
 		}
 	}
 	return res, events, nil
@@ -542,61 +482,55 @@ func RunCountedWorkers(seed int64, fl Fleet, workers int) (*Result, uint64, erro
 	return Run(seed, fl, core.RunOptions{Workers: workers})
 }
 
-// startDevice spawns device d's arrival generator on its event shard.
-// The generator owns the device's rng, its admission decisions, and
-// its fairness queues' tails.
-func startDevice(sys *core.System, fl Fleet, seed int64, d int, ds *devState, dr *DevResult, fail func(error)) {
-	shard := sys.M.Nodes[d].Shard
+// startDevice builds device d's pipe — fairnessClasses user-hashed
+// classes — and spawns its arrival generator on the device's event
+// shard. The generator owns the device's rng and its admission
+// decisions.
+func startDevice(sys *core.System, fl Fleet, seed int64, d int, dr *DevResult, fail func(error)) (*devState, error) {
 	ndev := fl.Devices
 	part := partSize(fl.Users, ndev, d)
-	reqs := reqShare(fl.Requests, ndev, d)
 	reg := sys.M.Metrics
-	mOffered := reg.Counter("frontend_requests_total", "dev", fmt.Sprint(d))
-	mShed := reg.Counter("frontend_shed_total", "dev", fmt.Sprint(d))
+	dev := fmt.Sprint(d)
+	mOffered := reg.Counter("frontend_requests_total", "dev", dev)
+	mShed := reg.Counter("frontend_shed_total", "dev", dev)
+	ds := &devState{
+		pipe: workload.NewPipe[request](workload.PipeConfig{
+			Sim:     sys.Sim,
+			Shard:   sys.M.Nodes[d].Shard,
+			Faults:  sys.M.Faults,
+			Classes: fairnessClasses,
+			SLO:     fl.SLO,
+			Done:    reg.Counter("frontend_completed_total", "dev", dev),
+			Sojourn: reg.Histogram("frontend_sojourn_ns", "dev", dev),
+			Fail:    fail,
+		}, &dr.Served),
+		tokens: float64(fl.TokenBurst),
+		served: make([]uint64, (part+63)/64),
+	}
 
-	sys.Sim.SpawnOn(shard, fmt.Sprintf("frontend-gen-%d", d), func(g *sim.Proc) {
-		rng := rand.New(rand.NewSource(seed*104729 + int64(d)*7919 + 29))
-		stream, err := workload.NewStream(workload.StreamConfig{
-			RateOps: fl.RateOps / float64(ndev),
-			Shape:   fl.Shape,
-		})
-		if err != nil {
-			fail(err)
-			ds.genDone = true
-			ds.more.Broadcast()
-			return
-		}
-		zipf := workload.NewZipf(part, workload.DefaultZipfTheta)
-		// Coverage walk: a seeded affine bijection over the device's
-		// user partition, so the non-hot arrivals visit every user the
-		// device owns before repeating.
-		walkA := uint64(rng.Int63n(int64(part)))*2 + 1
-		for gcd(walkA, part) != 1 {
-			walkA += 2
-		}
-		walkB := uint64(rng.Int63n(int64(part)))
-		var walkI, hotMark uint64
+	rng := rand.New(rand.NewSource(seed*104729 + int64(d)*7919 + 29))
+	stream, err := workload.NewStream(workload.StreamConfig{
+		RateOps: fl.RateOps / float64(ndev),
+		Shape:   fl.Shape,
+	})
+	if err != nil {
+		return nil, err
+	}
+	zipf := workload.NewZipf(part, workload.DefaultZipfTheta)
+	// Coverage walk: a seeded affine bijection over the device's user
+	// partition, so the non-hot arrivals visit every user the device
+	// owns before repeating.
+	walkA := uint64(rng.Int63n(int64(part)))*2 + 1
+	for gcd(walkA, part) != 1 {
+		walkA += 2
+	}
+	walkB := uint64(rng.Int63n(int64(part)))
+	var walkI, hotMark uint64
+	tokenRate := fl.TokenRate / float64(ndev) // tokens/sec for this device
 
-		tokenRate := fl.TokenRate / float64(ndev) // tokens/sec for this device
-		ds.tokens = float64(fl.TokenBurst)
-		inj := sys.M.Faults
-		burst := 0
-		for i := 0; i < reqs && !ds.abort; i++ {
-			if burst > 0 {
-				burst--
-			} else {
-				if gap := stream.Next(rng, g.Now()); gap > 0 {
-					g.Sleep(gap)
-				}
-				if inj.Fire(faults.SiteTenantBurst) {
-					burst = workload.BurstArrivals - 1
-					dr.Bursts++
-				}
-			}
-			now := g.Now()
-			if dr.Start == 0 {
-				dr.Start = now
-			}
+	ds.pipe.Generate(fmt.Sprintf("frontend-gen-%d", d), reqShare(fl.Requests, ndev, d),
+		func(now sim.Time) sim.Time { return stream.Next(rng, now) },
+		func(i int, now sim.Time) (request, int, bool) {
 			// User pick: the deterministic hot cadence keeps the walk's
 			// coverage guarantee exact at any seed.
 			var pidx uint64
@@ -620,7 +554,7 @@ func startDevice(sys *core.System, fl Fleet, seed int64, d int, ds *devState, dr
 					ds.tokens = float64(fl.TokenBurst)
 				}
 				ds.lastFill = now
-				if fl.QueueCap > 0 && ds.backlog >= fl.QueueCap {
+				if fl.QueueCap > 0 && ds.pipe.Backlog() >= fl.QueueCap {
 					admit = false
 				} else if ds.tokens >= 1 {
 					ds.tokens--
@@ -628,37 +562,24 @@ func startDevice(sys *core.System, fl Fleet, seed int64, d int, ds *devState, dr
 					admit = false
 				}
 			case AdmitCoDel:
-				admit = fl.QueueCap <= 0 || ds.backlog < fl.QueueCap
+				admit = fl.QueueCap <= 0 || ds.pipe.Backlog() < fl.QueueCap
 			}
 			if !admit {
 				dr.ShedArrival++
 				mShed.Inc()
-				continue
+				return request{}, 0, false
 			}
 			dr.Admitted++
-			class := int((workload.Scramble(user) >> 32) % fairnessClasses)
-			ds.classes[class].q = append(ds.classes[class].q, request{
-				at:    now,
-				pidx:  pidx,
-				key:   workload.Scramble(user) % fl.StoreKeys,
-				write: write,
-			})
-			ds.backlog++
-			if ds.backlog > dr.PeakBacklog {
-				dr.PeakBacklog = ds.backlog
-			}
-			ds.more.Signal()
-		}
-		ds.genDone = true
-		ds.more.Broadcast()
-	})
+			h := workload.Scramble(user)
+			return request{pidx: pidx, key: h % fl.StoreKeys, write: write}, int((h >> 32) % fairnessClasses), true
+		})
+	return ds, nil
 }
 
 // startWorker spawns pool worker wi — its own kernel process and
-// queue pair — on its device's event shard.
-func startWorker(sys *core.System, bk backend, fl Fleet, wi int, pr *kernel.Process, ds *devState, dr *DevResult, fail func(error)) {
+// queue pair — as a server of its device's pipe.
+func startWorker(sys *core.System, bk backend, fl Fleet, wi int, pr *kernel.Process, ds *devState, dr *DevResult) {
 	d := wi % fl.Devices
-	shard := sys.M.Nodes[d].Shard
 	// CoDel constants, derived from the SLO. The controller's sojourn
 	// sawtooth peaks near target + interval (delay grows ~1:1 with
 	// time at overload until the interval hysteresis trips), so both
@@ -669,60 +590,32 @@ func startWorker(sys *core.System, bk backend, fl Fleet, wi int, pr *kernel.Proc
 		interval = 100 * sim.Microsecond
 	}
 	route := fl.routeCost()
-	reg := sys.M.Metrics
-	mDone := reg.Counter("frontend_completed_total", "dev", fmt.Sprint(d))
-	mShed := reg.Counter("frontend_shed_total", "dev", fmt.Sprint(d))
-	mSojourn := reg.Histogram("frontend_sojourn_ns", "dev", fmt.Sprint(d))
+	mShed := sys.M.Metrics.Counter("frontend_shed_total", "dev", fmt.Sprint(d))
 
-	sys.Sim.SpawnOn(shard, fmt.Sprintf("frontend-w%d", wi), func(w *sim.Proc) {
-		abort := func(err error) {
-			fail(err)
-			ds.abort = true
-			ds.more.Broadcast()
-		}
+	ds.pipe.Serve(fmt.Sprintf("frontend-w%d", wi), func(w *sim.Proc) (workload.ServeFunc[request], error) {
 		srv, err := bk.newServer(w, sys, pr, d, fl)
 		if err != nil {
-			abort(err)
-			return
+			return nil, err
 		}
-		for !ds.abort {
-			if ds.backlog > 0 {
-				req := ds.dequeue()
-				if fl.Admission == AdmitCoDel && ds.codelDrop(w.Now(), req.at, target, interval) {
-					dr.ShedQueue++
-					mShed.Inc()
-					continue
-				}
-				if route > 0 {
-					w.Sleep(route)
-				}
-				if err := srv.do(w, req.key, req.write); err != nil {
-					abort(fmt.Errorf("frontend: worker %d: %w", wi, err))
-					return
-				}
-				now := w.Now()
-				soj := now - req.at
-				dr.Sojourn.Add(soj)
-				dr.Completed++
-				mDone.Inc()
-				mSojourn.Observe(soj)
-				if fl.SLO > 0 && soj <= fl.SLO {
-					dr.SLOMet++
-				}
-				ds.served[req.pidx/64] |= 1 << (req.pidx % 64)
-				if now > dr.End {
-					dr.End = now
-				}
-				continue
+		return func(w *sim.Proc, at sim.Time, req request) (bool, error) {
+			if fl.Admission == AdmitCoDel && ds.codelDrop(w.Now(), at, target, interval) {
+				dr.ShedQueue++
+				mShed.Inc()
+				return false, nil
 			}
-			// Empty queue: the overload (if any) has drained; re-arm the
-			// CoDel controller.
-			ds.tripped, ds.firstAbove = false, 0
-			if ds.genDone {
-				return
+			if route > 0 {
+				w.Sleep(route)
 			}
-			ds.more.Wait(w)
-		}
+			if err := srv.do(w, req.key, req.write); err != nil {
+				return false, fmt.Errorf("frontend: worker %d: %w", wi, err)
+			}
+			ds.served[req.pidx/64] |= 1 << (req.pidx % 64)
+			return true, nil
+		}, nil
+	}, func() {
+		// Empty backlog: the overload (if any) has drained; re-arm the
+		// CoDel controller.
+		ds.tripped, ds.firstAbove = false, 0
 	})
 }
 

@@ -68,14 +68,14 @@ func TestFleetJSONRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := resolve(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != fl {
 		t.Fatalf("round trip changed the fleet:\n%+v\nvs\n%+v", got, fl)
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := resolve(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file loaded")
 	}
 }
@@ -220,9 +220,9 @@ func TestBackends(t *testing.T) {
 // bursty streams must deliver the full request count deterministically.
 func TestLoadShapes(t *testing.T) {
 	for _, name := range []string{"fleet-diurnal", "fleet-bursty"} {
-		fl, ok := ByName(name)
-		if !ok {
-			t.Fatalf("%s not a builtin", name)
+		fl, err := resolve(name)
+		if err != nil {
+			t.Fatal(err)
 		}
 		fl.Users, fl.Requests = 2000, 4000
 		res, err := runFleet(5, fl)
@@ -251,7 +251,7 @@ func TestTenantStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bursts() == 0 {
+	if res.Total().Bursts == 0 {
 		t.Fatal("tenant-storm injected no arrival spikes")
 	}
 	if res.Completed() == 0 {
@@ -300,12 +300,12 @@ func TestFaultedFleetWorkerInvariant(t *testing.T) {
 // TestBuiltins resolves every builtin by name and rejects unknowns.
 func TestBuiltins(t *testing.T) {
 	for _, fl := range Builtins() {
-		got, ok := ByName(fl.Name)
-		if !ok || got.Name != fl.Name {
-			t.Fatalf("builtin %q does not resolve", fl.Name)
+		got, err := resolve(fl.Name)
+		if err != nil || got.Name != fl.Name {
+			t.Fatalf("builtin %q does not resolve: %v", fl.Name, err)
 		}
 	}
-	if _, ok := ByName("no-such-fleet"); ok {
+	if _, err := resolve("no-such-fleet"); err == nil {
 		t.Fatal("unknown fleet resolved")
 	}
 }

@@ -1,9 +1,7 @@
 package frontend
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -73,30 +71,6 @@ func Builtins() []Fleet {
 	}
 }
 
-// ByName resolves a builtin fleet.
-func ByName(name string) (Fleet, bool) {
-	for _, fl := range Builtins() {
-		if fl.Name == name {
-			return fl, true
-		}
-	}
-	return Fleet{}, false
-}
-
-// Load reads a fleet from a JSON file (the bypassd-bench -frontend
-// config format; see EXPERIMENTS.md for the schema).
-func Load(path string) (Fleet, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Fleet{}, err
-	}
-	var fl Fleet
-	if err := json.Unmarshal(data, &fl); err != nil {
-		return Fleet{}, fmt.Errorf("frontend: %s: %w", path, err)
-	}
-	return fl, nil
-}
-
 // ReportTable renders a fleet run: one row per device plus a fleet
 // row, with goodput, shed accounting, sojourn percentiles, SLO
 // compliance, and user coverage.
@@ -108,36 +82,25 @@ func ReportTable(fl Fleet, res *Result) *stats.Table {
 		"device", "offered", "admitted", "shed_%", "goodput_kops",
 		"p50_us", "p99_us", "p999_us", "slo_met_%", "users", "peak_backlog", "bursts",
 	)
-	row := func(name string, offered, admitted, shed, completed, sloMet, users, bursts int64, h *stats.Histogram, start, end sim.Time, peak int) {
-		s := h.Summarize()
+	row := func(name string, offered, admitted, shed, users int64, sv *workload.Served) {
+		s := sv.Sojourn.Summarize()
 		shedPct := 0.0
 		if offered > 0 {
 			shedPct = 100 * float64(shed) / float64(offered)
 		}
 		sloCol := "-"
-		if res.Fleet.SLO > 0 && completed > 0 {
-			sloCol = stats.Fmt(100 * float64(sloMet) / float64(completed))
+		if res.Fleet.SLO > 0 && sv.Completed > 0 {
+			sloCol = stats.Fmt(sv.SLOPct(res.Fleet.SLO))
 		}
 		tb.AddRow(
-			name, offered, admitted, shedPct,
-			stats.Throughput(completed, end-start)/1e3,
+			name, offered, admitted, shedPct, sv.Throughput()/1e3,
 			float64(s.P50)/1e3, float64(s.P99)/1e3, float64(s.P999)/1e3,
-			sloCol, users, peak, bursts,
+			sloCol, users, sv.PeakBacklog, sv.Bursts,
 		)
 	}
 	for _, d := range res.Devices {
-		row(fmt.Sprintf("dev%d", d.Device), d.Offered, d.Admitted, d.Shed(), d.Completed,
-			d.SLOMet, d.UsersServed, d.Bursts, d.Sojourn, d.Start, d.End, d.PeakBacklog)
+		row(fmt.Sprintf("dev%d", d.Device), d.Offered, d.Admitted, d.Shed(), d.UsersServed, &d.Served)
 	}
-	start, end := res.Window()
-	peak := 0
-	for _, d := range res.Devices {
-		if d.PeakBacklog > peak {
-			peak = d.PeakBacklog
-		}
-	}
-	row("fleet", res.Offered(), res.Admitted(), res.Shed(), res.Completed(),
-		res.sum(func(d *DevResult) int64 { return d.SLOMet }), res.UsersServed(), res.Bursts(),
-		res.Sojourn(), start, end, peak)
+	row("fleet", res.Offered(), res.Admitted(), res.Shed(), res.UsersServed(), res.Total())
 	return tb
 }

@@ -1,9 +1,7 @@
 package tenants
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 	"repro/internal/nvme"
@@ -11,45 +9,41 @@ import (
 	"repro/internal/stats"
 )
 
-// NoisyNeighbor builds the canonical contention scenario: one
-// latency-sensitive 4 KiB tenant against hogs large-block bandwidth
-// tenants, under the given arbiter. The victim carries weight 16 /
-// priority 0; hogs carry weight 1 / priority 1 and, for the "prio"
-// arbiter, a per-queue token-bucket rate cap — so the same scenario
-// ablates all three policies.
+// victim is the latency-sensitive 4 KiB tenant of the contention
+// scenarios: weight 16 / priority 0 and a 30µs SLO.
+func victim(name string, ops int) Tenant {
+	return Tenant{
+		Name: name, Engine: core.EngineBypassD, RateOps: 20_000, Ops: ops,
+		BS: 4096, FileBytes: 8 << 20, QD: 2,
+		QoS: nvme.QoS{Weight: 16, Priority: 0}, SLO: 30 * sim.Microsecond,
+	}
+}
+
+// hog is a large-block bandwidth tenant: weight 1 / priority 1.
+func hog(name string, ops int) Tenant {
+	return Tenant{
+		Name: name, Engine: core.EngineBypassD, RateOps: 60_000, Ops: ops,
+		BS: 64 << 10, FileBytes: 16 << 20, QD: 4,
+		QoS: nvme.QoS{Weight: 1, Priority: 1},
+	}
+}
+
+// NoisyNeighbor builds the canonical contention scenario: one victim
+// against hogs bandwidth hogs under the given arbiter. For the "prio"
+// arbiter the hogs also carry a per-queue token-bucket rate cap, so the
+// same scenario ablates all three policies.
 func NoisyNeighbor(arbiter string, hogs, victimOps, hogOps int) Scenario {
 	sc := Scenario{
 		Name:    fmt.Sprintf("noisy-neighbor-%s-%d", arbiterLabel(arbiter), hogs),
 		Arbiter: arbiter,
-		Tenants: []Tenant{{
-			Name:      "victim",
-			Engine:    core.EngineBypassD,
-			RateOps:   20_000,
-			Ops:       victimOps,
-			BS:        4096,
-			FileBytes: 8 << 20,
-			QD:        2,
-			QoS:       nvme.QoS{Weight: 16, Priority: 0},
-			SLO:       30 * sim.Microsecond,
-		}},
+		Tenants: []Tenant{victim("victim", victimOps)},
 	}
 	for i := 0; i < hogs; i++ {
-		sc.Tenants = append(sc.Tenants, Tenant{
-			Name:      fmt.Sprintf("hog%d", i),
-			Engine:    core.EngineBypassD,
-			RateOps:   60_000,
-			Ops:       hogOps,
-			BS:        64 << 10,
-			FileBytes: 16 << 20,
-			QD:        4,
-			QoS: nvme.QoS{
-				Weight:   1,
-				Priority: 1,
-				// Only the "prio" arbiter reads the rate cap; ~1/3 of
-				// the offered hog load passes when it is enforced.
-				RateOps: 20_000,
-			},
-		})
+		h := hog(fmt.Sprintf("hog%d", i), hogOps)
+		// Only the "prio" arbiter reads the rate cap; ~1/3 of the
+		// offered hog load passes when it is enforced.
+		h.QoS.RateOps = 20_000
+		sc.Tenants = append(sc.Tenants, h)
 	}
 	return sc
 }
@@ -100,29 +94,10 @@ func ScaleOut(devices, victimOps, hogOps int) Scenario {
 		Devices: devices,
 	}
 	for d := 0; d < devices; d++ {
-		sc.Tenants = append(sc.Tenants, Tenant{
-			Name:      fmt.Sprintf("victim%d", d),
-			Engine:    core.EngineBypassD,
-			RateOps:   20_000,
-			Ops:       victimOps,
-			BS:        4096,
-			FileBytes: 8 << 20,
-			QD:        2,
-			QoS:       nvme.QoS{Weight: 16, Priority: 0},
-			SLO:       30 * sim.Microsecond,
-		})
+		sc.Tenants = append(sc.Tenants, victim(fmt.Sprintf("victim%d", d), victimOps))
 	}
 	for d := 0; d < devices; d++ {
-		sc.Tenants = append(sc.Tenants, Tenant{
-			Name:      fmt.Sprintf("hog%d", d),
-			Engine:    core.EngineBypassD,
-			RateOps:   60_000,
-			Ops:       hogOps,
-			BS:        64 << 10,
-			FileBytes: 16 << 20,
-			QD:        4,
-			QoS:       nvme.QoS{Weight: 1, Priority: 1},
-		})
+		sc.Tenants = append(sc.Tenants, hog(fmt.Sprintf("hog%d", d), hogOps))
 	}
 	return sc
 }
@@ -135,30 +110,6 @@ func Builtins() []Scenario {
 		NoisyNeighbor("prio", 8, 2000, 2000),
 		SLOLoad(core.EngineBypassD, 4, 800_000, 2000),
 	}
-}
-
-// ByName resolves a builtin scenario.
-func ByName(name string) (Scenario, bool) {
-	for _, sc := range Builtins() {
-		if sc.Name == name {
-			return sc, true
-		}
-	}
-	return Scenario{}, false
-}
-
-// Load reads a scenario from a JSON file (the bypassd-bench -tenants
-// config format; see EXPERIMENTS.md for the schema).
-func Load(path string) (Scenario, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Scenario{}, err
-	}
-	var sc Scenario
-	if err := json.Unmarshal(data, &sc); err != nil {
-		return Scenario{}, fmt.Errorf("tenants: %s: %w", path, err)
-	}
-	return sc, nil
 }
 
 // ReportTable renders per-tenant results — achieved load, sojourn
@@ -177,11 +128,11 @@ func ReportTable(sc Scenario, results []*Result) *stats.Table {
 		compliance := "-"
 		if r.Tenant.SLO > 0 {
 			slo = fmt.Sprintf("%.1f", float64(r.Tenant.SLO)/1e3)
-			compliance = fmt.Sprintf("%.1f", r.Compliance())
+			compliance = fmt.Sprintf("%.1f", r.SLOPct(r.Tenant.SLO))
 		}
 		tb.AddRow(
 			r.Tenant.Name, string(r.Tenant.Engine),
-			r.Tenant.RateOps/1e3, r.IOPS()/1e3, r.Bandwidth()/1e6,
+			r.Tenant.RateOps/1e3, r.Throughput()/1e3, r.Bandwidth()/1e6,
 			float64(s.P50)/1e3, float64(s.P99)/1e3, float64(s.P999)/1e3,
 			slo, compliance,
 			r.PeakBacklog, r.Lib.Retries, r.Lib.Fallbacks,

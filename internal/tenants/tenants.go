@@ -13,7 +13,10 @@
 // unlike internal/fio's closed loop — queueing delay is visible: a
 // request's sojourn time is measured from its generated arrival
 // instant to its completion, and a saturated tenant's backlog grows
-// instead of throttling the offered load.
+// instead of throttling the offered load. The generator→server
+// hand-off itself is workload.Pipe, shared with internal/frontend: a
+// tenant is one pipe with a single FIFO class and QD servers, and this
+// package supplies only the gap draw, the request draw and the I/O.
 //
 // Determinism: a scenario runs on one fresh simulation; every random
 // draw (interarrival gaps, offsets, read/write mix) comes from a
@@ -29,7 +32,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ext4"
-	"repro/internal/faults"
 	"repro/internal/fio"
 	"repro/internal/kernel"
 	"repro/internal/nvme"
@@ -40,33 +42,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Arrival selects a tenant's arrival process. The implementations
-// live in internal/workload, shared with the frontend service tier.
-type Arrival = workload.Process
-
-// Supported arrival processes.
-const (
-	// Poisson draws exponential interarrival gaps at RateOps — the
-	// open-system model whose tail exposes queueing delay.
-	Poisson = workload.Poisson
-	// Fixed spaces arrivals exactly 1/RateOps apart.
-	Fixed = workload.Fixed
-)
-
 // Tenant describes one client of the shared device.
 type Tenant struct {
 	Name   string      `json:"name"`
 	Engine core.Engine `json:"engine"`
 
-	Arrival   Arrival  `json:"arrival,omitempty"` // default Poisson
-	RateOps   float64  `json:"rate_ops"`          // offered load, requests/sec
-	Ops       int      `json:"ops"`               // arrivals to generate
-	BS        int      `json:"bs"`                // request size, bytes
-	WriteFrac float64  `json:"write_frac,omitempty"`
-	FileBytes int64    `json:"file_bytes"`
-	QD        int      `json:"qd,omitempty"` // service contexts; default 1
-	QoS       nvme.QoS `json:"qos,omitempty"`
-	SLO       sim.Time `json:"slo_ns,omitempty"` // per-request target; 0 = none
+	Arrival   workload.Process `json:"arrival,omitempty"` // default Poisson
+	RateOps   float64          `json:"rate_ops"`          // offered load, requests/sec
+	Ops       int              `json:"ops"`               // arrivals to generate
+	BS        int              `json:"bs"`                // request size, bytes
+	WriteFrac float64          `json:"write_frac,omitempty"`
+	FileBytes int64            `json:"file_bytes"`
+	QD        int              `json:"qd,omitempty"` // service contexts; default 1
+	QoS       nvme.QoS         `json:"qos,omitempty"`
+	SLO       sim.Time         `json:"slo_ns,omitempty"` // per-request target; 0 = none
 }
 
 // Scenario is a complete multi-tenant run.
@@ -101,59 +90,23 @@ func (sc Scenario) placement(ti int) int { return ti % sc.NumDevices() }
 // Result aggregates one tenant's run.
 type Result struct {
 	Tenant Tenant
-
-	Ops   int64
-	Bytes int64
-	Start sim.Time // first arrival
-	End   sim.Time // last completion
-
-	// Sojourn is the arrival-to-completion latency distribution; on an
-	// open-loop tenant this includes time spent queued behind the
-	// tenant's own backlog, which closed-loop harnesses cannot see.
-	Sojourn *stats.Histogram
-
-	Compliant   int64 // requests with sojourn <= SLO (when SLO > 0)
-	PeakBacklog int   // largest generated-but-unclaimed backlog observed
-	Bursts      int64 // injected arrival spikes (faults.SiteTenantBurst)
+	workload.Served
 
 	// Lib is the tenant's UserLib degradation counters (BypassD
 	// tenants only; zero value otherwise).
 	Lib userlib.Stats
 }
 
-// Elapsed is the tenant's active window.
-func (r *Result) Elapsed() sim.Time { return r.End - r.Start }
-
-// IOPS reports achieved throughput over the active window.
-func (r *Result) IOPS() float64 { return stats.Throughput(r.Ops, r.Elapsed()) }
+// Bytes is the tenant's completed payload.
+func (r *Result) Bytes() int64 { return r.Completed * int64(r.Tenant.BS) }
 
 // Bandwidth reports achieved bytes/sec over the active window.
-func (r *Result) Bandwidth() float64 { return stats.BytesPerSec(r.Bytes, r.Elapsed()) }
-
-// Compliance reports the fraction of requests inside the SLO, in
-// percent; 100 when no SLO was set.
-func (r *Result) Compliance() float64 {
-	if r.Tenant.SLO <= 0 || r.Ops == 0 {
-		return 100
-	}
-	return 100 * float64(r.Compliant) / float64(r.Ops)
-}
+func (r *Result) Bandwidth() float64 { return stats.BytesPerSec(r.Bytes(), r.End-r.Start) }
 
 // request is one generated arrival.
 type request struct {
-	at    sim.Time
 	off   int64
 	write bool
-}
-
-// tenantState is the generator→worker hand-off queue. The simulation
-// runs one goroutine at a time, so plain fields suffice.
-type tenantState struct {
-	queue   []request
-	head    int
-	genDone bool
-	abort   bool
-	more    *sim.Cond
 }
 
 func (t *Tenant) validate() error {
@@ -178,6 +131,24 @@ func (t *Tenant) validate() error {
 	return nil
 }
 
+// validate checks the scenario Run accepts.
+func (sc Scenario) validate() error {
+	if len(sc.Tenants) == 0 {
+		return fmt.Errorf("tenants: scenario %q has no tenants", sc.Name)
+	}
+	for i := range sc.Tenants {
+		if err := sc.Tenants[i].validate(); err != nil {
+			return err
+		}
+		if sc.NumDevices() > 1 && sc.Tenants[i].Engine == core.EngineSPDK {
+			// SPDK claims a device exclusively through the node-0
+			// driver; it has no multi-device story here.
+			return fmt.Errorf("tenants: %s: SPDK tenants need a single-device scenario", sc.Tenants[i].Name)
+		}
+	}
+	return nil
+}
+
 // Run executes the scenario as a phased run (core.RunPhased) on one
 // freshly booted system and returns per-tenant results in tenant
 // order, plus the simulator events it dispatched. Setup — mkdirs, file
@@ -185,20 +156,10 @@ func (t *Tenant) validate() error {
 // pipelines are the traffic phase. Results are identical at any
 // o.Workers.
 func Run(seed int64, sc Scenario, o core.RunOptions) ([]*Result, uint64, error) {
-	if len(sc.Tenants) == 0 {
-		return nil, 0, fmt.Errorf("tenants: scenario %q has no tenants", sc.Name)
+	if err := sc.validate(); err != nil {
+		return nil, 0, err
 	}
 	ndev := sc.NumDevices()
-	for i := range sc.Tenants {
-		if err := sc.Tenants[i].validate(); err != nil {
-			return nil, 0, err
-		}
-		if ndev > 1 && sc.Tenants[i].Engine == core.EngineSPDK {
-			// SPDK claims a device exclusively through the node-0
-			// driver; it has no multi-device story here.
-			return nil, 0, fmt.Errorf("tenants: %s: SPDK tenants need a single-device scenario", sc.Tenants[i].Name)
-		}
-	}
 	capacity := sc.Capacity
 	if capacity == 0 {
 		// Auto-size every device to the largest per-device demand so
@@ -223,7 +184,7 @@ func Run(seed int64, sc Scenario, o core.RunOptions) ([]*Result, uint64, error) 
 	results := make([]*Result, len(sc.Tenants))
 	procs := make([]*kernel.Process, len(sc.Tenants))
 	for i := range sc.Tenants {
-		results[i] = &Result{Tenant: sc.Tenants[i], Sojourn: stats.NewHistogram()}
+		results[i] = &Result{Tenant: sc.Tenants[i]}
 	}
 	events, err := core.RunPhased(core.Phased{
 		Name:     "tenants",
@@ -282,118 +243,57 @@ func Run(seed int64, sc Scenario, o core.RunOptions) ([]*Result, uint64, error) 
 
 func tenantPath(ti int) string { return fmt.Sprintf("/tenants/t%d", ti) }
 
-// startTenant spawns one tenant's generator and its QD service
-// workers on the scenario's simulation. The tenant's procs run on its
-// device's event shard, keeping each device's whole stream — arrivals,
-// submissions, completions — in one lane of the deterministic merge.
+// startTenant builds one tenant's pipe — a single FIFO class — on its
+// device's event shard and spawns its generator and QD servers there,
+// keeping each device's whole stream (arrivals, submissions,
+// completions) in one lane of the deterministic merge.
 func startTenant(sys *core.System, pr *kernel.Process, t *Tenant, ti int, seed int64, res *Result, fail func(error)) {
-	shard := sys.M.Nodes[pr.Node()].Shard
-	st := &tenantState{more: sys.Sim.NewCond()}
-	path := tenantPath(ti)
-	writable := t.WriteFrac > 0
-	qd := t.QD
-	if qd < 1 {
-		qd = 1
-	}
 	reg := sys.M.Metrics
-	mOps := reg.Counter("tenant_ops_total", "tenant", t.Name)
-	mMiss := reg.Counter("tenant_slo_miss_total", "tenant", t.Name)
-	mSojourn := reg.Histogram("tenant_sojourn_ns", "tenant", t.Name)
+	pipe := workload.NewPipe[request](workload.PipeConfig{
+		Sim:     sys.Sim,
+		Shard:   sys.M.Nodes[pr.Node()].Shard,
+		Faults:  sys.M.Faults,
+		SLO:     t.SLO,
+		Done:    reg.Counter("tenant_ops_total", "tenant", t.Name),
+		Miss:    reg.Counter("tenant_slo_miss_total", "tenant", t.Name),
+		Sojourn: reg.Histogram("tenant_sojourn_ns", "tenant", t.Name),
+		Fail:    fail,
+	}, &res.Served)
 
-	sys.Sim.SpawnOn(shard, "tenant-gen-"+t.Name, func(g *sim.Proc) {
-		// One stream per tenant, drawn only here: arrival instants and
-		// request contents never depend on service order.
-		rng := rand.New(rand.NewSource(seed*7919 + int64(ti)*104729 + 17))
-		blocks := t.FileBytes / int64(t.BS)
-		inj := sys.M.Faults
-		burst := 0
-		for i := 0; i < t.Ops && !st.abort; i++ {
-			if burst > 0 {
-				burst--
-			} else {
-				if gap := workload.Interarrival(rng, t.Arrival, t.RateOps); gap > 0 {
-					g.Sleep(gap)
-				}
-				if inj.Fire(faults.SiteTenantBurst) {
-					// Arrival spike: this and the next BurstArrivals-1
-					// requests land at one instant.
-					burst = workload.BurstArrivals - 1
-					res.Bursts++
-				}
-			}
-			if res.Start == 0 {
-				res.Start = g.Now()
-			}
-			st.queue = append(st.queue, request{
-				at:    g.Now(),
-				off:   rng.Int63n(blocks) * int64(t.BS),
-				write: rng.Float64() < t.WriteFrac,
-			})
-			if backlog := len(st.queue) - st.head; backlog > res.PeakBacklog {
-				res.PeakBacklog = backlog
-			}
-			st.more.Signal()
-		}
-		st.genDone = true
-		st.more.Broadcast()
-	})
+	// One stream per tenant, drawn only by its generator: arrival
+	// instants and request contents never depend on service order.
+	rng := rand.New(rand.NewSource(seed*7919 + int64(ti)*104729 + 17))
+	blocks := t.FileBytes / int64(t.BS)
+	pipe.Generate("tenant-gen-"+t.Name, t.Ops,
+		func(sim.Time) sim.Time { return workload.Interarrival(rng, t.Arrival, t.RateOps) },
+		func(int, sim.Time) (request, int, bool) {
+			return request{off: rng.Int63n(blocks) * int64(t.BS), write: rng.Float64() < t.WriteFrac}, 0, true
+		})
 
-	for wi := 0; wi < qd; wi++ {
-		sys.Sim.SpawnOn(shard, fmt.Sprintf("tenant-%s-w%d", t.Name, wi), func(w *sim.Proc) {
-			abort := func(err error) {
-				fail(err)
-				st.abort = true
-				st.more.Broadcast()
-			}
+	path := tenantPath(ti)
+	for wi := 0; wi < max(t.QD, 1); wi++ {
+		pipe.Serve(fmt.Sprintf("tenant-%s-w%d", t.Name, wi), func(w *sim.Proc) (workload.ServeFunc[request], error) {
 			io, err := sys.NewFileIO(w, pr, t.Engine)
 			if err != nil {
-				abort(err)
-				return
+				return nil, err
 			}
-			fd, err := io.Open(w, path, writable)
+			fd, err := io.Open(w, path, t.WriteFrac > 0)
 			if err != nil {
-				abort(err)
-				return
+				return nil, err
 			}
 			buf := make([]byte, t.BS)
-			for !st.abort {
-				if st.head < len(st.queue) {
-					req := st.queue[st.head]
-					st.head++
-					var err error
-					if req.write {
-						_, err = io.Pwrite(w, fd, buf, req.off)
-					} else {
-						_, err = io.Pread(w, fd, buf, req.off)
-					}
-					if err != nil {
-						abort(fmt.Errorf("tenants: %s: %w", t.Name, err))
-						return
-					}
-					now := w.Now()
-					soj := now - req.at
-					res.Sojourn.Add(soj)
-					res.Ops++
-					res.Bytes += int64(t.BS)
-					mOps.Inc()
-					mSojourn.Observe(soj)
-					if t.SLO > 0 {
-						if soj <= t.SLO {
-							res.Compliant++
-						} else {
-							mMiss.Inc()
-						}
-					}
-					if now > res.End {
-						res.End = now
-					}
-					continue
+			return func(w *sim.Proc, _ sim.Time, req request) (bool, error) {
+				var err error
+				if req.write {
+					_, err = io.Pwrite(w, fd, buf, req.off)
+				} else {
+					_, err = io.Pread(w, fd, buf, req.off)
 				}
-				if st.genDone {
-					return
+				if err != nil {
+					return false, fmt.Errorf("tenants: %s: %w", t.Name, err)
 				}
-				st.more.Wait(w)
-			}
-		})
+				return true, nil
+			}, nil
+		}, nil)
 	}
 }

@@ -42,14 +42,14 @@ func TestOpenLoopCompletes(t *testing.T) {
 		Name: "basic",
 		Tenants: []Tenant{
 			{Name: "poisson", Engine: core.EngineBypassD, RateOps: 50_000, Ops: 300, BS: 4096, FileBytes: 4 << 20, QD: 2, SLO: 20 * sim.Microsecond},
-			{Name: "fixed", Engine: core.EngineBypassD, Arrival: Fixed, RateOps: 50_000, Ops: 300, BS: 4096, FileBytes: 4 << 20},
+			{Name: "fixed", Engine: core.EngineBypassD, Arrival: workload.Fixed, RateOps: 50_000, Ops: 300, BS: 4096, FileBytes: 4 << 20},
 			{Name: "writer", Engine: core.EngineSync, RateOps: 20_000, Ops: 200, BS: 8192, WriteFrac: 0.5, FileBytes: 4 << 20},
 		},
 	}
 	for i, r := range run(t, 1, sc) {
 		want := int64(sc.Tenants[i].Ops)
-		if r.Ops != want {
-			t.Errorf("%s: served %d of %d arrivals", r.Tenant.Name, r.Ops, want)
+		if r.Completed != want {
+			t.Errorf("%s: served %d of %d arrivals", r.Tenant.Name, r.Completed, want)
 		}
 		if r.Sojourn.Count() != want {
 			t.Errorf("%s: histogram has %d samples", r.Tenant.Name, r.Sojourn.Count())
@@ -93,8 +93,8 @@ func TestArbiterProtectsVictim(t *testing.T) {
 		if victim.Tenant.Name != "victim" {
 			t.Fatal("victim not first")
 		}
-		if victim.Ops != int64(victim.Tenant.Ops) {
-			t.Fatalf("%s: victim served %d", arb, victim.Ops)
+		if victim.Completed != int64(victim.Tenant.Ops) {
+			t.Fatalf("%s: victim served %d", arb, victim.Completed)
 		}
 		p99[arb] = victim.Sojourn.Percentile(99)
 	}
@@ -138,8 +138,8 @@ func TestTenantStorm(t *testing.T) {
 		}},
 	}
 	r := runIn(t, kernel.Env{Faults: plan}, 3, sc)[0]
-	if r.Ops != 1500 {
-		t.Fatalf("storm run served %d of 1500 (degradation was not graceful)", r.Ops)
+	if r.Completed != 1500 {
+		t.Fatalf("storm run served %d of 1500 (degradation was not graceful)", r.Completed)
 	}
 	if r.Bursts == 0 {
 		t.Error("no arrival bursts fired under tenant-storm")
@@ -147,7 +147,7 @@ func TestTenantStorm(t *testing.T) {
 	if r.Lib.InjectedFaults == 0 {
 		t.Error("userlib.Stats.InjectedFaults = 0 under queue-full backpressure")
 	}
-	if r.Lib.Fallbacks > 0 && r.Ops != 1500 {
+	if r.Lib.Fallbacks > 0 && r.Completed != 1500 {
 		t.Error("fallbacks lost requests")
 	}
 	if r.PeakBacklog < workload.BurstArrivals {
@@ -198,8 +198,8 @@ func TestConcurrentScenarios(t *testing.T) {
 				t.Errorf("%s: %v", arb, err)
 				return
 			}
-			if res[0].Ops != int64(res[0].Tenant.Ops) {
-				t.Errorf("%s: victim served %d", arb, res[0].Ops)
+			if res[0].Completed != int64(res[0].Tenant.Ops) {
+				t.Errorf("%s: victim served %d", arb, res[0].Completed)
 			}
 		}()
 	}
@@ -226,7 +226,7 @@ func TestScenarioJSON(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	got, err := resolve(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestScenarioJSON(t *testing.T) {
 	if got.Tenants[0].QoS != sc.Tenants[0].QoS || got.Tenants[0].SLO != sc.Tenants[0].SLO {
 		t.Fatalf("tenant fields lost: %+v", got.Tenants[0])
 	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
+	if _, err := resolve(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("loading a missing file succeeded")
 	}
 }
@@ -254,11 +254,11 @@ func TestBuiltinsRunnable(t *testing.T) {
 				t.Errorf("builtin %s: %v", sc.Name, err)
 			}
 		}
-		if _, ok := ByName(sc.Name); !ok {
-			t.Errorf("ByName(%q) failed", sc.Name)
+		if got, err := resolve(sc.Name); err != nil || got.Name != sc.Name {
+			t.Errorf("resolve(%q) = %q, %v", sc.Name, got.Name, err)
 		}
 	}
-	if _, ok := ByName("no-such-scenario"); ok {
-		t.Error("ByName resolved a bogus name")
+	if _, err := resolve("no-such-scenario"); err == nil {
+		t.Error("resolve accepted a bogus name")
 	}
 }

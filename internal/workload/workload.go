@@ -1,17 +1,20 @@
-// Package workload is the shared traffic-generation toolkit: seeded
-// arrival processes, bounded Zipf popularity, and time-varying load
-// shapes, all on the virtual clock.
+// Package workload is the shared traffic toolkit: seeded arrival
+// processes, bounded Zipf popularity, time-varying load shapes, the
+// open-loop generator→server Pipe, and the strict config resolver.
 //
 // Both traffic tiers draw from here — internal/tenants (tens of
 // tenants, each a full process) and internal/frontend (millions of
 // simulated users over a bounded worker pool) — so an arrival process
-// has exactly one implementation and one determinism argument: every
-// draw comes from a caller-owned *rand.Rand seeded from the scenario,
-// consumed only by the generator that owns it, so a fixed seed
-// replays every arrival instant at any host parallelism. The Zipf
-// sampler is the YCSB generator (Gray et al.'s algorithm) that
-// internal/ycsb has always used, now shared so key-popularity skew in
-// the service tier and in the KV benchmarks is the same distribution.
+// and the hand-off from generator to servers (burst injection,
+// backlog, abort, completion accounting) each have exactly one
+// implementation and one determinism argument: every draw comes from a
+// caller-owned *rand.Rand seeded from the scenario, consumed only by
+// the generator that owns it, and every proc of a pipe runs on one
+// event shard, so a fixed seed replays every arrival and completion
+// instant at any host parallelism. The Zipf sampler is the YCSB
+// generator (Gray et al.'s algorithm) that internal/ycsb has always
+// used, now shared so key-popularity skew in the service tier and in
+// the KV benchmarks is the same distribution.
 package workload
 
 import (
@@ -178,10 +181,9 @@ type StreamConfig struct {
 	Period sim.Time // one "day"; default 100ms of virtual time
 
 	// Bursty knobs.
-	Factor    float64  // burst rate multiplier; default 8
-	BurstLen  sim.Time // mean burst length; default 200µs
-	BurstOff  sim.Time // mean calm gap between bursts; default 2ms
-	BurstProc Process  // unused; reserved
+	Factor   float64  // burst rate multiplier; default 8
+	BurstLen sim.Time // mean burst length; default 200µs
+	BurstOff sim.Time // mean calm gap between bursts; default 2ms
 }
 
 // Stream generates one seeded arrival stream with a (possibly
